@@ -125,7 +125,8 @@ def _add_sweep_orchestration_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="abandon and retry a cell running longer than this "
-             "(parallel mode only)")
+             "(pool and worker runs; an in-process serial run cannot "
+             "preempt a cell)")
     parser.add_argument(
         "--quiet", action="store_true",
         help="suppress per-cell progress lines")
@@ -175,6 +176,22 @@ def _run_sweep_harness(sweep, args: argparse.Namespace):
 
 #: CLI choices for --backend ("auto" negotiates compiled > vector > python).
 BACKEND_CHOICES = ("auto", "python", "vector", "compiled")
+
+
+def _add_engine_args(parser: argparse.ArgumentParser, backend: bool = True) -> None:
+    """``--recovery-strategy`` and, unless ``backend`` is False,
+    ``--backend``: the flags of every command that builds machines."""
+    parser.add_argument(
+        "--recovery-strategy", choices=RECOVERY_STRATEGIES, default="ecp",
+        help="how recovery points are established and rolled back to "
+             "(default ecp)")
+    if backend:
+        parser.add_argument(
+            "--backend", choices=BACKEND_CHOICES, default="auto",
+            help="kernel backend for locally executed runs; results are "
+                 "bit-identical, only speed changes ('auto' picks the "
+                 "fastest available, default; remote workers negotiate "
+                 "their own)")
 
 
 def _select_backend(args: argparse.Namespace) -> int | None:
@@ -814,13 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pressure", type=float, default=4.0, metavar="RATIO",
                      help="working-set to attraction-memory pressure ratio "
                           "(scan only)")
-    run.add_argument("--recovery-strategy", choices=RECOVERY_STRATEGIES,
-                     default="ecp",
-                     help="recovery backend for ECP runs (default ecp)")
-    run.add_argument("--backend", choices=BACKEND_CHOICES, default="auto",
-                     help="kernel backend; results are bit-identical, "
-                          "only speed changes ('auto' picks the fastest "
-                          "available, default)")
+    _add_engine_args(run)
     run.set_defaults(func=_cmd_run)
 
     tables = sub.add_parser("tables", help="reproduce Tables 1-3")
@@ -840,12 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--nodes", type=int, default=16,
                        help="machine size for every cell (default 16)")
-    sweep.add_argument("--recovery-strategy", choices=RECOVERY_STRATEGIES,
-                       default="ecp",
-                       help="recovery backend for the ECP cells (default ecp)")
-    sweep.add_argument("--backend", choices=BACKEND_CHOICES, default="auto",
-                       help="kernel backend for every cell (bit-identical "
-                            "results; 'auto' = fastest available, default)")
+    _add_engine_args(sweep)
     _add_sweep_orchestration_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -859,12 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--apps", nargs="*", choices=sorted(WORKLOAD_FAMILIES))
     scale.add_argument("--nodes", nargs="*", type=int, default=list(PAPER_NODE_COUNTS))
     scale.add_argument("--frequency", type=float, default=100.0)
-    scale.add_argument("--recovery-strategy", choices=RECOVERY_STRATEGIES,
-                       default="ecp",
-                       help="recovery backend for the ECP cells (default ecp)")
-    scale.add_argument("--backend", choices=BACKEND_CHOICES, default="auto",
-                       help="kernel backend for every cell (bit-identical "
-                            "results; 'auto' = fastest available, default)")
+    _add_engine_args(scale)
     _add_sweep_orchestration_args(scale)
     scale.set_defaults(func=_cmd_scale)
 
@@ -926,16 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="CYCLES",
                             help="per-run no-progress budget before the "
                                  "watchdog declares a stall")
-        target.add_argument("--recovery-strategy", choices=RECOVERY_STRATEGIES,
-                            default="ecp",
-                            help="recovery backend every cell runs under "
-                                 "(default ecp)")
-        target.add_argument("--backend", choices=BACKEND_CHOICES,
-                            default="auto",
-                            help="kernel backend for locally executed cells "
-                                 "(bit-identical results; 'auto' = fastest "
-                                 "available, default; remote workers "
-                                 "negotiate their own)")
+        _add_engine_args(target)
         target.add_argument("--membership", choices=("static", "rolling"),
                             default="static",
                             help="'rolling' starts each cell with --grow-from "
@@ -1060,10 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="references per processor for --full-run")
     verify.add_argument("--mutate", metavar="NAME", default=None,
                         help="seed a named protocol bug (expect a counterexample)")
-    verify.add_argument("--recovery-strategy", choices=RECOVERY_STRATEGIES,
-                        default="ecp",
-                        help="recovery backend the model establishes and "
-                             "recovers through (default ecp)")
+    _add_engine_args(verify, backend=False)
     verify.add_argument("--seed", type=int, default=2026)
     verify.set_defaults(func=_cmd_verify)
 
@@ -1140,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     from repro.checkpoint.recovery import UnrecoverableFailure
-    from repro.distributed.coordinator import DispatchError
+    from repro.orch.executor import DispatchError
     from repro.fault.watchdog import StallError
     from repro.kernel import get_default_backend, set_default_backend
     from repro.orch.store import CacheError

@@ -1,26 +1,25 @@
-"""The dispatch coordinator: shard cells across worker daemons.
+"""The socket transport: cells on worker daemons over TCP.
 
-:class:`Coordinator.run` is the distributed analogue of
-:func:`repro.orch.executor.run_tasks` — same payloads-in,
-:class:`~repro.orch.executor.TaskOutcome`-out contract, same
-completion-order streaming — so the orchestrator and the campaign
-runner consume it unchanged and their store-before-journal crash
-discipline (and therefore ``--resume``) holds under either executor.
+:class:`Coordinator` is a transport for the one scheduling core,
+:func:`repro.orch.executor.schedule`, which also drives the local
+process pool.  Retry, timeout, reassignment and the in-process fallback
+are the core's; so the orchestrator and the campaign runner consume the
+same :class:`~repro.orch.executor.TaskOutcome` stream under either
+executor, and their store-before-journal crash discipline (and
+therefore ``--resume``) holds under both.
 
-Fault model, mirroring the paper's machine at harness scale:
+What the transport owns is connection and liveness:
 
-- **worker death** (socket EOF/reset, or ``heartbeat_misses``
-  consecutive missed pongs): every cell in flight on that worker is
-  *reassigned* to the surviving workers.  Reassignment does not consume
-  the cell's retry budget — the cell did nothing wrong.
-- **cell failure** (the worker answered ``ok: false``): bounded retry
-  with ``max_retries``, like the local pool.
-- **cell timeout** (``task_timeout`` seconds without an answer while
-  the worker is otherwise live): the assignment is abandoned — a late
-  answer is discarded by assignment id — and the cell retried.
-- **total worker loss**: remaining cells degrade to in-process serial
-  execution (exactly the local executor's ``BrokenProcessPool``
-  behaviour), unless ``local_fallback=False``.
+- **connect**: every worker is dialled at once, with bounded, backed-off
+  redials (daemons may start after the coordinator).  Dispatch starts
+  with the first wave; a straggler joins mid-run.  Nobody reachable is
+  a :class:`DispatchError` up front.
+- **place**: each attempt goes to the least-loaded live worker, tagged
+  with the core's attempt id, so a late answer is recognisably stale.
+- **lose**: socket EOF/reset, a framing error or ``heartbeat_misses``
+  consecutive missed pongs mark a worker dead and report its in-flight
+  attempts stranded.  Every worker dead is the core's "all workers
+  lost" case.
 
 Exactly-once *effects* come for free from content addressing: a cell
 reassigned after an answer was lost in flight recomputes the same
@@ -28,7 +27,7 @@ deterministic result under the same key, and the store's atomic
 same-content write makes the duplicate harmless.
 
 One reader thread per worker turns the socket into events on a queue;
-the dispatch thread owns all registry state and all sends.
+the scheduling thread owns all registry state and all sends.
 """
 
 from __future__ import annotations
@@ -37,16 +36,15 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.distributed import framing, protocol
 from repro.distributed.framing import ConnectionClosed, FrameError
 from repro.distributed.registry import WorkerHandle, WorkerRegistry, WorkerState
-from repro.orch.executor import TaskOutcome, _run_serial
+from repro.orch.executor import DispatchError, schedule
 
-
-class DispatchError(RuntimeError):
-    """The coordinator cannot run at all (e.g. no worker reachable)."""
+#: Everything a dial, handshake or conversation can fail with.
+_WIRE_ERRORS = (OSError, ConnectionClosed, FrameError, protocol.ProtocolError)
 
 
 def _shutdown_close(sock: socket.socket) -> None:
@@ -84,34 +82,13 @@ class DispatchStats:
     workers: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_workers": self.n_workers,
-            "connected": self.connected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "reassignments": self.reassignments,
-            "worker_deaths": self.worker_deaths,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "local_fallback_cells": self.local_fallback_cells,
-            "workers": list(self.workers),
-        }
-
-
-@dataclass
-class _Assignment:
-    """One cell sent to one worker (dies with the assignment)."""
-
-    task_id: int
-    index: int
-    payload: dict
-    attempt: int
-    worker: WorkerHandle
-    sent_at: float
+        return asdict(self)
 
 
 class Coordinator:
     """Shards one batch of payloads across the configured workers."""
+
+    mode = "distributed"
 
     def __init__(
         self,
@@ -146,7 +123,9 @@ class Coordinator:
         self._events: queue.Queue = queue.Queue()
         self._sockets: dict[int, socket.socket] = {}  # id(worker) -> sock
         self._writers: dict[int, framing.FrameWriter] = {}
-        self._threads: list[threading.Thread] = []
+        self._stranded: list[int] = []  # attempt ids of workers lost since the last poll
+        self._kind = ""
+        self._last_heartbeat = 0.0
         self._lock = threading.Lock()  # guards snapshot() vs dispatch mutation
 
     # -- observability ---------------------------------------------------
@@ -157,6 +136,13 @@ class Coordinator:
             stats = self.stats.to_dict()
             stats["workers"] = self.registry.snapshot()
         return stats
+
+    def _note(self, counter: str, n: int = 1) -> None:
+        """The scheduling core's decision counter hook."""
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + n)
+        if counter == "local_fallback_cells":
+            self._log(f"all workers dead; finishing {n} cell(s) serially in-process")
 
     # -- connection management -------------------------------------------
 
@@ -169,7 +155,7 @@ class Coordinator:
         )
         return self.connect_retries * self.connect_timeout + backoff
 
-    def _connect_all(self, worker_fn_kind: str) -> None:
+    def _connect_all(self) -> None:
         threads = []
         for worker in self.registry:
             thread = threading.Thread(
@@ -199,8 +185,7 @@ class Coordinator:
                 welcome = protocol.check_welcome(
                     framing.recv_frame(sock), token=self.token
                 )
-            except (OSError, ConnectionClosed, FrameError,
-                    protocol.ProtocolError) as exc:
+            except _WIRE_ERRORS as exc:
                 if attempt < self.connect_retries:
                     self._log(
                         f"worker {worker.name} not ready "
@@ -218,6 +203,27 @@ class Coordinator:
             self._events.put(("welcome", worker, welcome, sock))
             return
 
+    def _await_first_wave(self) -> None:
+        """Connect, then wait until every dial has landed or, once the
+        first wave is up, no longer: a straggler still inside its retry
+        loop joins the pool mid-run through :meth:`poll`."""
+        self._connect_all()
+        self._last_heartbeat = time.monotonic()
+        deadline = time.monotonic() + self._connect_budget()
+        first_wave = time.monotonic() + self.connect_timeout
+        while time.monotonic() < deadline:
+            if not any(w.state is WorkerState.CONNECTING for w in self.registry):
+                break
+            if self.registry.up() and time.monotonic() >= first_wave:
+                break
+            self._drain(0.05)
+        if not self.registry.up():
+            reasons = ", ".join(
+                f"{w.name}: {w.death_reason or 'still dialling'}"
+                for w in self.registry
+            )
+            raise DispatchError(f"no worker reachable ({reasons})")
+
     def _start_reader(self, worker: WorkerHandle, sock: socket.socket) -> None:
         def read_loop() -> None:
             while True:
@@ -231,27 +237,23 @@ class Coordinator:
                     return
                 self._events.put(("frame", worker, message))
 
-        thread = threading.Thread(
+        threading.Thread(
             target=read_loop, name=f"reader-{worker.name}", daemon=True
-        )
-        thread.start()
-        self._threads.append(thread)
+        ).start()
 
-    def _drop_worker(self, worker: WorkerHandle, reason: str,
-                     requeue, counts_as_death: bool = True) -> None:
+    def _drop_worker(self, worker: WorkerHandle, reason: str) -> None:
         if worker.state is WorkerState.DEAD:
             return
         with self._lock:
             stranded = worker.mark_dead(reason)
-            if counts_as_death:
-                self.stats.worker_deaths += 1
+            self.stats.worker_deaths += 1
         self._log(f"worker {worker.name} lost ({reason}); "
                   f"reassigning {len(stranded)} in-flight cell(s)")
         sock = self._sockets.pop(id(worker), None)
         self._writers.pop(id(worker), None)
         if sock is not None:
             _shutdown_close(sock)
-        requeue(stranded, reassigned=True)
+        self._stranded.extend(stranded)
 
     def close(self) -> None:
         """Close every worker connection (workers stay up for reuse)."""
@@ -266,188 +268,83 @@ class Coordinator:
         """Yield one :class:`TaskOutcome` per payload, completion order."""
         if kind not in protocol.TASK_KINDS:
             raise DispatchError(f"unknown task kind {kind!r}")
+        self._kind = kind
         try:
-            yield from self._run(payloads, kind, on_start)
+            self._await_first_wave()
+            yield from schedule(
+                payloads, self, protocol.resolve_kind(kind),
+                task_timeout=self.task_timeout,
+                max_retries=self.max_retries,
+                on_start=on_start,
+                local_fallback=self.local_fallback,
+                note=self._note,
+            )
         finally:
             self.close()
 
-    def _run(self, payloads: list[dict], kind: str, on_start):
-        pending: list[tuple[int, dict, int]] = [
-            (i, p, 1) for i, p in enumerate(payloads)
-        ]
-        assignments: dict[int, _Assignment] = {}
-        started: set[int] = set()
-        terminal = 0
-        next_task_id = 0
-        last_heartbeat = time.monotonic()
+    # -- the transport surface the scheduling core drives -----------------
 
-        self._connect_all(kind)
-        # drain connection results before first assignment so the very
-        # first cells spread across every worker that came up; once the
-        # first wave is in, stop waiting — a straggler still inside its
-        # retry loop joins the pool mid-run through the dispatch drain
-        deadline = time.monotonic() + self._connect_budget()
-        first_wave = time.monotonic() + self.connect_timeout
-        while time.monotonic() < deadline:
-            if not any(w.state is WorkerState.CONNECTING for w in self.registry):
-                break
-            if self.registry.up() and time.monotonic() >= first_wave:
-                break
-            self._drain_events(assignments, pending, block=True)
-        if not self.registry.up():
-            reasons = ", ".join(
-                f"{w.name}: {w.death_reason or 'still dialling'}"
-                for w in self.registry
-            )
-            raise DispatchError(f"no worker reachable ({reasons})")
+    @property
+    def alive(self) -> bool:
+        return not self.registry.all_dead()
 
-        def requeue(stranded_ids: list[int], reassigned: bool = False) -> None:
-            for task_id in stranded_ids:
-                assignment = assignments.pop(task_id, None)
-                if assignment is None:
-                    continue
-                pending.append(
-                    (assignment.index, assignment.payload, assignment.attempt)
+    def submit(self, attempt_id: int, payload: dict) -> bool:
+        """Send the attempt to the least-loaded live worker; False when
+        no worker has a free slot."""
+        for worker in self.registry.with_free_slot():
+            try:
+                self._writers[id(worker)].send(
+                    protocol.task(attempt_id, self._kind, payload)
                 )
-                if reassigned:
-                    with self._lock:
-                        self.stats.reassignments += 1
+            except (OSError, FrameError) as exc:
+                self._drop_worker(worker, f"send failed: {exc}")
+                continue
+            with self._lock:
+                worker.inflight[attempt_id] = time.monotonic()
+            return True
+        return False
 
-        while terminal < len(payloads):
-            # -- total worker loss: degrade like a broken local pool ----
-            if self.registry.all_dead():
-                if not self.local_fallback:
-                    raise DispatchError(
-                        "every worker died with "
-                        f"{len(payloads) - terminal} cell(s) unfinished"
-                    )
-                leftovers = sorted(
-                    pending
-                    + [(a.index, a.payload, a.attempt) for a in assignments.values()]
+    def poll(self, timeout: float) -> list[tuple]:
+        """Ping and reap workers, then turn queued frames into attempt
+        events, stranded attempts of lost workers included."""
+        self._heartbeat()
+        events = self._drain(timeout)
+        stranded, self._stranded = self._stranded, []
+        return events + [(attempt_id, "lost", None, 0.0) for attempt_id in stranded]
+
+    def abandon(self, attempt_id: int) -> None:
+        with self._lock:
+            for worker in self.registry:
+                worker.inflight.pop(attempt_id, None)
+
+    def _heartbeat(self) -> None:
+        now = time.monotonic()
+        if now - self._last_heartbeat < self.heartbeat_interval:
+            return
+        self._last_heartbeat = now
+        for worker in self.registry.up():
+            if now - worker.last_pong > self.heartbeat_interval * self.heartbeat_misses:
+                self._drop_worker(
+                    worker, f"missed {self.heartbeat_misses} heartbeats"
                 )
-                pending.clear()
-                assignments.clear()
-                self._log(
-                    f"all workers dead; finishing {len(leftovers)} cell(s) "
-                    "serially in-process"
-                )
-                with self._lock:
-                    self.stats.local_fallback_cells += len(leftovers)
-                entry = protocol.resolve_kind(kind)
-                for outcome in _run_serial(
-                    leftovers, entry, self.max_retries, 0.0, None
-                ):
-                    terminal += 1
-                    with self._lock:
-                        if outcome.ok:
-                            self.stats.completed += 1
-                        else:
-                            self.stats.failed += 1
-                    yield outcome
-                break
+                continue
+            try:
+                self._writers[id(worker)].send(protocol.ping(time.time()))
+            except (OSError, FrameError) as exc:
+                self._drop_worker(worker, f"ping failed: {exc}")
 
-            # -- assign pending cells to free slots ---------------------
-            for worker in self.registry.with_free_slot():
-                if not pending:
-                    break
-                while pending and worker.free_slots > 0:
-                    index, payload, attempt = pending.pop(0)
-                    writer = self._writers.get(id(worker))
-                    if writer is None:
-                        pending.insert(0, (index, payload, attempt))
-                        break
-                    task_id = next_task_id
-                    next_task_id += 1
-                    if attempt == 1 and index not in started and on_start is not None:
-                        started.add(index)
-                        on_start(index, payload)
-                    try:
-                        writer.send(protocol.task(task_id, kind, payload))
-                    except (OSError, FrameError) as exc:
-                        pending.insert(0, (index, payload, attempt))
-                        self._drop_worker(worker, f"send failed: {exc}", requeue)
-                        break
-                    now = time.monotonic()
-                    with self._lock:
-                        worker.inflight[task_id] = now
-                    assignments[task_id] = _Assignment(
-                        task_id=task_id, index=index, payload=payload,
-                        attempt=attempt, worker=worker, sent_at=now,
-                    )
-
-            # -- heartbeats and liveness --------------------------------
-            now = time.monotonic()
-            if now - last_heartbeat >= self.heartbeat_interval:
-                last_heartbeat = now
-                for worker in list(self.registry.up()):
-                    if now - worker.last_pong > (
-                        self.heartbeat_interval * self.heartbeat_misses
-                    ):
-                        self._drop_worker(
-                            worker,
-                            f"missed {self.heartbeat_misses} heartbeats",
-                            requeue,
-                        )
-                        continue
-                    writer = self._writers.get(id(worker))
-                    if writer is None:
-                        continue
-                    try:
-                        writer.send(protocol.ping(time.time()))
-                    except (OSError, FrameError) as exc:
-                        self._drop_worker(worker, f"ping failed: {exc}", requeue)
-
-            # -- per-cell timeout ---------------------------------------
-            if self.task_timeout is not None:
-                for assignment in list(assignments.values()):
-                    if now - assignment.sent_at < self.task_timeout:
-                        continue
-                    worker = assignment.worker
-                    with self._lock:
-                        worker.inflight.pop(assignment.task_id, None)
-                        self.stats.timeouts += 1
-                    assignments.pop(assignment.task_id, None)
-                    if assignment.attempt <= self.max_retries:
-                        with self._lock:
-                            self.stats.retries += 1
-                        pending.append((
-                            assignment.index, assignment.payload,
-                            assignment.attempt + 1,
-                        ))
-                    else:
-                        terminal += 1
-                        with self._lock:
-                            self.stats.failed += 1
-                        yield TaskOutcome(
-                            index=assignment.index, payload=assignment.payload,
-                            timed_out=True, attempts=assignment.attempt,
-                            wall_seconds=now - assignment.sent_at,
-                            mode="distributed",
-                        )
-
-            # -- results, pongs, deaths ---------------------------------
-            for outcome in self._drain_events(
-                assignments, pending, block=True, requeue=requeue
-            ):
-                terminal += 1
-                yield outcome
-
-    def _drain_events(self, assignments, pending, block: bool,
-                      requeue=None) -> list[TaskOutcome]:
-        """Handle every queued event (waiting briefly for the first)."""
-        outcomes: list[TaskOutcome] = []
-        first = True
+    def _drain(self, timeout: float) -> list[tuple]:
+        """Handle every queued event, waiting up to ``timeout`` for the
+        first; returns the attempt results among them."""
+        results = []
         while True:
             try:
-                event = self._events.get(
-                    timeout=0.05 if (block and first) else 0.0
-                )
+                tag, worker, *rest = self._events.get(timeout=timeout)
             except queue.Empty:
-                return outcomes
-            first = False
-            tag, worker = event[0], event[1]
+                return results
+            timeout = 0.0
             if tag == "welcome":
-                _, _, welcome, sock = event
+                welcome, sock = rest
                 with self._lock:
                     worker.state = WorkerState.UP
                     worker.slots = welcome["slots"]
@@ -462,69 +359,46 @@ class Coordinator:
                     f"(slots={worker.slots}, pid={worker.pid})"
                 )
             elif tag == "dead":
-                reason = event[2]
+                (reason,) = rest
                 if worker.state is WorkerState.CONNECTING:
                     with self._lock:
                         worker.state = WorkerState.DEAD
                         worker.death_reason = reason
                     self._log(f"worker {worker.name} unreachable: {reason}")
-                elif requeue is not None:
-                    self._drop_worker(worker, reason, requeue)
                 else:
-                    self._drop_worker(worker, reason, lambda *_a, **_k: None)
-            elif tag == "frame":
-                message = event[2]
+                    self._drop_worker(worker, reason)
+            else:
+                (message,) = rest
                 mtype = message.get("type")
                 if mtype == "pong":
                     with self._lock:
                         worker.last_pong = time.monotonic()
                 elif mtype == "result":
-                    outcome = self._handle_result(
-                        worker, message, assignments, pending
-                    )
-                    if outcome is not None:
-                        outcomes.append(outcome)
+                    result = self._result(worker, message)
+                    if result is not None:
+                        results.append(result)
                 else:
                     self._log(
                         f"ignoring unknown frame {mtype!r} from {worker.name}"
                     )
 
-    def _handle_result(self, worker: WorkerHandle, message: dict,
-                       assignments, pending) -> TaskOutcome | None:
+    def _result(self, worker: WorkerHandle, message: dict) -> tuple | None:
         task_id = message.get("task_id")
-        assignment = assignments.pop(task_id, None)
-        if assignment is None:
-            return None  # late answer to a reassigned/timed-out cell
+        if task_id not in worker.inflight:
+            return None  # a late answer to an abandoned attempt
         wall = float(message.get("wall_seconds", 0.0))
+        ok = bool(message.get("ok"))
         with self._lock:
-            worker.inflight.pop(task_id, None)
+            del worker.inflight[task_id]
             worker.busy_seconds += wall
-        if message.get("ok"):
-            with self._lock:
+            if ok:
                 worker.completed += 1
-                self.stats.completed += 1
-            return TaskOutcome(
-                index=assignment.index, payload=assignment.payload,
-                value=message.get("value"), attempts=assignment.attempt,
-                wall_seconds=wall, mode="distributed",
-            )
+            else:
+                worker.failed += 1
+        if ok:
+            return task_id, "ok", message.get("value"), wall
         error = str(message.get("error", "worker reported failure"))
-        with self._lock:
-            worker.failed += 1
-        if assignment.attempt <= self.max_retries:
-            with self._lock:
-                self.stats.retries += 1
-            pending.append(
-                (assignment.index, assignment.payload, assignment.attempt + 1)
-            )
-            return None
-        with self._lock:
-            self.stats.failed += 1
-        return TaskOutcome(
-            index=assignment.index, payload=assignment.payload,
-            error=error, attempts=assignment.attempt,
-            wall_seconds=wall, mode="distributed",
-        )
+        return task_id, "error", error, wall
 
 
 class DistributedExecutor:
@@ -608,6 +482,19 @@ class DistributedExecutor:
 # -- ops helpers --------------------------------------------------------
 
 
+def _handshake(addr: tuple[str, int], timeout: float,
+               token: str | None) -> tuple[socket.socket, dict]:
+    """Connect to one daemon and shake hands; returns the socket and
+    the worker's welcome."""
+    sock = socket.create_connection(addr, timeout=timeout)
+    try:
+        framing.send_frame(sock, protocol.hello(token=token))
+        return sock, protocol.check_welcome(framing.recv_frame(sock), token=token)
+    except BaseException:
+        sock.close()
+        raise
+
+
 def ping_workers(addrs: list[tuple[str, int]],
                  timeout: float = 5.0,
                  token: str | None = None) -> list[dict]:
@@ -617,11 +504,8 @@ def ping_workers(addrs: list[tuple[str, int]],
         name = f"{addr[0]}:{addr[1]}"
         t0 = time.perf_counter()
         try:
-            with socket.create_connection(addr, timeout=timeout) as sock:
-                framing.send_frame(sock, protocol.hello(token=token))
-                welcome = protocol.check_welcome(
-                    framing.recv_frame(sock), token=token
-                )
+            sock, welcome = _handshake(addr, timeout, token)
+            with sock:
                 framing.send_frame(sock, protocol.ping(time.time()))
                 reply = framing.recv_frame(sock)
                 if reply.get("type") != "pong":
@@ -633,8 +517,7 @@ def ping_workers(addrs: list[tuple[str, int]],
                 "slots": welcome["slots"], "pid": welcome.get("pid"),
                 "rtt_ms": round((time.perf_counter() - t0) * 1000, 2),
             })
-        except (OSError, ConnectionClosed, FrameError,
-                protocol.ProtocolError) as exc:
+        except _WIRE_ERRORS as exc:
             rows.append({"addr": name, "ok": False, "error": str(exc)})
     return rows
 
@@ -647,12 +530,10 @@ def shutdown_workers(addrs: list[tuple[str, int]],
     for addr in addrs:
         name = f"{addr[0]}:{addr[1]}"
         try:
-            with socket.create_connection(addr, timeout=timeout) as sock:
-                framing.send_frame(sock, protocol.hello(token=token))
-                protocol.check_welcome(framing.recv_frame(sock), token=token)
+            sock, _welcome = _handshake(addr, timeout, token)
+            with sock:
                 framing.send_frame(sock, protocol.shutdown())
             rows.append({"addr": name, "ok": True})
-        except (OSError, ConnectionClosed, FrameError,
-                protocol.ProtocolError) as exc:
+        except _WIRE_ERRORS as exc:
             rows.append({"addr": name, "ok": False, "error": str(exc)})
     return rows

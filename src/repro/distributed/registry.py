@@ -7,7 +7,7 @@ registry is what the dispatcher consults to place work ("who is up with
 a free slot?"), what the health check reaps ("whose pong is overdue?"),
 and what ``repro serve`` renders as the per-worker table.
 
-All mutation happens on the coordinator's dispatch thread; reader
+All mutation happens on the coordinator's scheduling thread; reader
 threads only ever *post* events to the coordinator queue, so no locks
 are needed beyond the snapshot copy taken for the dashboard.
 """
@@ -102,9 +102,6 @@ class WorkerRegistry:
         free = [w for w in self.workers if w.free_slots > 0]
         free.sort(key=lambda w: (len(w.inflight), -w.completed))
         return free
-
-    def total_inflight(self) -> int:
-        return sum(len(w.inflight) for w in self.workers)
 
     def all_dead(self) -> bool:
         return all(w.state is WorkerState.DEAD for w in self.workers)

@@ -33,6 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.distributed import framing, protocol
 from repro.distributed.framing import ConnectionClosed, FrameError, FrameWriter
+from repro.orch.executor import shutdown_pool
 
 
 def _execute_task(kind: str, payload: dict) -> dict:
@@ -102,15 +103,8 @@ class WorkerDaemon:
     def _shutdown_pool(self) -> None:
         """Tear the pool down without waiting on abandoned work."""
         pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except OSError:  # pragma: no cover
-                pass
+        if pool is not None:
+            shutdown_pool(pool)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:

@@ -11,8 +11,9 @@ backward-error-recovery properties the paper gives the COMA machine:
   writes and versioned invalidation (:class:`ResultStore`);
 - :mod:`repro.orch.journal` — an append-only JSONL run log that makes
   ``--resume`` exact after any crash (:class:`Journal`);
-- :mod:`repro.orch.executor` — process-pool execution with timeout,
-  bounded retry and graceful serial degradation;
+- :mod:`repro.orch.executor` — the one scheduling core (timeout,
+  bounded retry, reassignment, serial fallback) over in-process,
+  process-pool and worker-socket transports;
 - :mod:`repro.orch.orchestrator` — the policy layer tying them
   together (:class:`Orchestrator`).
 """

@@ -1,102 +1,27 @@
 """Coordinator fault handling against scripted in-process workers.
 
-These tests exercise the dispatch loop's failure semantics — heartbeat
-misses, EOF deaths, reassignment, bounded retry — without spawning real
-daemons: a :class:`FakeWorker` thread speaks the wire protocol and
-misbehaves on cue.  The payloads never execute anywhere; the fakes just
-echo them back, which is all the coordinator can observe anyway.
+These tests exercise what only the socket transport does — handshake,
+heartbeat misses, EOF deaths, connect retry, stragglers, stats — without
+spawning real daemons: a :class:`FakeWorker` thread speaks the wire
+protocol and misbehaves on cue.  The policy it shares with the local
+pool (retry, timeout, reassignment, fallback) is held by the executor
+contract suite, ``tests/orch/test_executor_contract.py``.
 """
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
-import time
 
 import pytest
 
-from repro.distributed import framing, protocol
 from repro.distributed.coordinator import (
     Coordinator,
     DispatchError,
     DistributedExecutor,
 )
-from repro.distributed.framing import ConnectionClosed, FrameError
 from repro.distributed.registry import WorkerState
-
-
-class FakeWorker(threading.Thread):
-    """A scripted worker daemon: one connection, one behaviour.
-
-    Modes: ``good`` answers everything; ``slow`` answers everything
-    after a short think; ``silent`` handshakes then never replies
-    (heartbeat-miss fodder); ``die-on-task`` drops the connection upon
-    its first task (EOF with the cell in flight); ``always-error``
-    answers every task with ``ok: false``.
-    """
-
-    def __init__(self, mode: str = "good", slots: int = 1, port: int = 0):
-        super().__init__(daemon=True)
-        self.mode = mode
-        self.slots = slots
-        self.tasks_seen = 0
-        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.listener.bind(("127.0.0.1", port))
-        self.listener.listen(1)
-        self.addr = self.listener.getsockname()
-
-    def close(self) -> None:
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-
-    def run(self) -> None:  # noqa: C901 — a script, one branch per cue
-        try:
-            conn, _peer = self.listener.accept()
-        except OSError:
-            return
-        try:
-            protocol.check_hello(framing.recv_frame(conn))
-            framing.send_frame(
-                conn, protocol.welcome(slots=self.slots, pid=os.getpid())
-            )
-            while True:
-                message = framing.recv_frame(conn)
-                if self.mode == "silent":
-                    continue
-                mtype = message.get("type")
-                if mtype == "ping":
-                    framing.send_frame(conn, protocol.pong(message["t"]))
-                elif mtype == "task":
-                    self.tasks_seen += 1
-                    if self.mode == "die-on-task":
-                        conn.close()
-                        return
-                    if self.mode == "slow":
-                        time.sleep(0.05)
-                    if self.mode == "always-error":
-                        framing.send_frame(conn, protocol.result_error(
-                            message["task_id"], "scripted failure", 0.01
-                        ))
-                    else:
-                        framing.send_frame(conn, protocol.result_ok(
-                            message["task_id"],
-                            {"echo": message["payload"]},
-                            0.01,
-                        ))
-                elif mtype == "shutdown":
-                    return
-        except (ConnectionClosed, FrameError, OSError,
-                protocol.ProtocolError):
-            return
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+from tests.distributed.fakes import FakeWorker, spawn_fakes
 
 
 @pytest.fixture
@@ -104,10 +29,7 @@ def spawn():
     workers: list[FakeWorker] = []
 
     def _spawn(*modes: str, slots: int = 1) -> list[FakeWorker]:
-        for mode in modes:
-            worker = FakeWorker(mode=mode, slots=slots)
-            worker.start()
-            workers.append(worker)
+        workers.extend(spawn_fakes(*modes, slots=slots))
         return workers
 
     yield _spawn
@@ -262,26 +184,6 @@ def test_unknown_kind_is_refused_up_front(spawn):
     coordinator = _coordinator(workers)
     with pytest.raises(DispatchError, match="unknown task kind"):
         list(coordinator.run(PAYLOADS, "arbitrary-exec"))
-
-
-def test_cell_errors_retry_then_fail(spawn):
-    workers = spawn("always-error")
-    coordinator = _coordinator(workers, max_retries=1, local_fallback=False)
-    payloads = PAYLOADS[:2]
-    outcomes = list(coordinator.run(payloads, "campaign-cell"))
-    assert len(outcomes) == len(payloads)
-    assert all(not o.ok for o in outcomes)
-    assert all(o.error == "scripted failure" for o in outcomes)
-    assert all(o.attempts == 2 for o in outcomes)  # 1 try + 1 retry
-    assert coordinator.stats.retries == 2
-    assert coordinator.stats.failed == 2
-
-
-def test_total_worker_loss_without_fallback_raises(spawn):
-    workers = spawn("die-on-task")
-    coordinator = _coordinator(workers, local_fallback=False)
-    with pytest.raises(DispatchError, match="every worker died"):
-        list(coordinator.run(PAYLOADS, "campaign-cell"))
 
 
 def test_executor_refuses_unregistered_callables(spawn):

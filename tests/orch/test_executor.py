@@ -1,12 +1,14 @@
-"""Executor tests: parallel completion, timeout, retry, degradation.
+"""Executor tests: the in-process path, pool completion and set-up.
 
-Worker callables live at module level so they pickle into pool workers
-(the tests package is importable).
+The policy shared by every transport (retry, timeout, reassignment,
+fallback) is held by ``test_executor_contract.py``.  Worker callables
+live at module level so they pickle into pool workers (the tests
+package is importable).
 """
 
-import multiprocessing
 import os
-import signal
+import subprocess
+import sys
 import time
 
 from repro.orch.executor import run_tasks
@@ -21,10 +23,6 @@ def _sleep_forever(x):
     return x
 
 
-def _boom(x):
-    raise RuntimeError(f"boom {x}")
-
-
 def _flaky(path):
     """Fails on the first attempt, succeeds once the marker exists."""
     if os.path.exists(path):
@@ -32,13 +30,6 @@ def _flaky(path):
     with open(path, "w") as handle:
         handle.write("seen")
     raise RuntimeError("first attempt fails")
-
-
-def _die_in_worker(x):
-    """SIGKILL the pool worker (never the test process itself)."""
-    if multiprocessing.parent_process() is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return x * 10
 
 
 def _collect(payloads, **kwargs):
@@ -56,25 +47,6 @@ def test_parallel_execution_completes_all():
     assert sorted(o.value for o in outcomes) == [0, 1, 4, 9, 16, 25]
     assert all(o.ok for o in outcomes)
     assert all(o.mode == "parallel" for o in outcomes)
-
-
-def test_error_is_reported_after_retries():
-    outcomes = _collect([7], worker=_boom, parallel=2, max_retries=1,
-                        retry_backoff=0.0)
-    (outcome,) = outcomes
-    assert not outcome.ok
-    assert outcome.attempts == 2  # first try + one retry
-    assert "boom 7" in outcome.error
-
-
-def test_retry_recovers_transient_failure(tmp_path):
-    marker = str(tmp_path / "marker")
-    outcomes = _collect([marker], worker=_flaky, parallel=2, max_retries=2,
-                        retry_backoff=0.0)
-    (outcome,) = outcomes
-    assert outcome.ok
-    assert outcome.value == "recovered"
-    assert outcome.attempts == 2
 
 
 def test_serial_retry_recovers_transient_failure(tmp_path):
@@ -96,17 +68,6 @@ def test_timeout_abandons_the_task():
     assert elapsed < 20  # nowhere near the worker's 30s sleep
 
 
-def test_dead_worker_degrades_to_serial():
-    """A worker killed mid-task (fail-silent, like the paper's nodes)
-    must not lose the sweep: remaining cells complete in-process."""
-    outcomes = _collect([1, 2, 3], worker=_die_in_worker, parallel=2)
-    by_index = {o.index: o for o in outcomes}
-    assert len(by_index) == 3
-    assert all(o.ok for o in outcomes)
-    assert sorted(o.value for o in outcomes) == [10, 20, 30]
-    assert {o.mode for o in outcomes} == {"serial"}
-
-
 def test_pool_unavailable_degrades_to_serial(monkeypatch):
     import repro.orch.executor as executor_module
 
@@ -117,3 +78,33 @@ def test_pool_unavailable_degrades_to_serial(monkeypatch):
     outcomes = _collect([2, 3], worker=_square, parallel=4)
     assert sorted(o.value for o in outcomes) == [4, 9]
     assert {o.mode for o in outcomes} == {"serial"}
+
+
+def test_retry_backoff_does_not_stall_other_cells(tmp_path):
+    """A backed-off retry waits as a not-before time on the requeued
+    attempt, not as a sleep: the next cell runs in the meantime."""
+    seen = tmp_path / "seen"
+    seen.write_text("seen")
+    outcomes = _collect([str(tmp_path / "fresh"), str(seen)], worker=_flaky,
+                        parallel=1, retry_backoff=0.2)
+    assert [(o.index, o.attempts) for o in outcomes] == [(1, 1), (0, 2)]
+    assert all(o.ok for o in outcomes)
+
+
+def test_serial_path_stays_in_process(monkeypatch):
+    """``parallel=1`` builds no pool and imports nothing distributed."""
+    import repro.orch.executor as executor_module
+
+    def _no_pool(max_workers):
+        raise AssertionError("parallel=1 built a process pool")
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _no_pool)
+    assert [o.value for o in run_tasks([-2], abs)] == [2]
+    code = (
+        "import sys\n"
+        "from repro.orch.executor import run_tasks\n"
+        "assert [o.mode for o in run_tasks([-2], abs)] == ['serial']\n"
+        "sys.exit(any(m.startswith('repro.distributed') for m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
