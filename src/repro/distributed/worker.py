@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -42,6 +43,20 @@ def _execute_task(kind: str, payload: dict) -> dict:
     t0 = time.perf_counter()
     value = entry(payload)
     return {"value": value, "wall_seconds": time.perf_counter() - t0}
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-process initializer: exit once the daemon is gone.  A
+    SIGKILLed daemon cannot shut its pool down, and an idle pool process
+    never sees EOF on its call queue (it holds the write end too), so it
+    watches its parent pid instead."""
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 class WorkerDaemon:
@@ -108,7 +123,10 @@ class WorkerDaemon:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.slots)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.slots,
+                initializer=_exit_with_parent, initargs=(os.getpid(),),
+            )
         return self._pool
 
     # -- serving --------------------------------------------------------

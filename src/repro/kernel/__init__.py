@@ -13,8 +13,7 @@ dominant inner loops without changing a single observable result:
     numpy block acceleration: reference streams are generated in
     vectorized blocks (SplitMix64 hashing, op classification, private
     address arithmetic and the Zipf inverse-CDF inversion all run as
-    array ops with identical draw order), and the mesh fabric's XY
-    route tables are prebuilt in bulk.  Requires numpy (the
+    array ops with identical draw order).  Requires numpy (the
     ``repro[vector]`` extra).
 
 ``compiled``

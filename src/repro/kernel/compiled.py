@@ -85,7 +85,7 @@ class CompiledBackend(KernelBackend):
         return None
 
     def attach(self, machine: "Machine") -> None:
-        from repro.kernel.vector import make_block_generator, prebuild_routes
+        from repro.kernel.vector import make_block_generator
 
         gen = make_block_generator(machine.workload)
         if gen is None:
@@ -93,5 +93,4 @@ class CompiledBackend(KernelBackend):
         for processor in machine.processors:
             for stream in processor.streams:
                 wrap_stream(stream, gen)
-        prebuild_routes(machine.fabric)
         machine.kernel_drain = BatchDrain(machine)

@@ -317,26 +317,8 @@ def make_block_generator(workload: Workload) -> BlockGenerator | None:
     return None
 
 
-def prebuild_routes(fabric) -> int:
-    """Resolve every XY route of every subnet up front (the scalar
-    fabric builds them lazily, one cache miss per new (src, dst) pair
-    mid-run).  Pure memoization of a pure function: arrival arithmetic
-    is untouched.  Returns the number of routes built."""
-    mesh = fabric.mesh
-    n = mesh.n_nodes
-    built = 0
-    for subnet in fabric._routes:
-        routes = fabric._routes[subnet]
-        for src in range(n):
-            for dst in range(n):
-                if src != dst and (src, dst) not in routes:
-                    fabric._build_route(subnet, src, dst)
-                    built += 1
-    return built
-
-
 class VectorBackend(KernelBackend):
-    """numpy block generation + bulk fabric route prebuilding."""
+    """numpy block generation."""
 
     name = "vector"
 
@@ -356,4 +338,3 @@ class VectorBackend(KernelBackend):
             for processor in machine.processors:
                 for stream in processor.streams:
                     wrap_stream(stream, gen)
-        prebuild_routes(machine.fabric)

@@ -70,7 +70,7 @@ class SectoredCache:
 
     def read_probe(self, addr: int) -> bool:
         """Processor read: hit iff the line is CLEAN or DIRTY."""
-        # line_state + _touch fused into one sector lookup: this and
+        # line_state + LRU touch fused into one sector lookup: this and
         # write_probe run once per simulated reference
         sector_bytes = self._sector_bytes
         sector_id = addr // sector_bytes
@@ -119,17 +119,22 @@ class SectoredCache:
         Returns the base addresses of dirty lines written back because
         of a sector eviction (the protocol flushes them to the AM).
         """
-        sector_id = self.sector_of(addr)
+        # one sector lookup, as in read_probe; a newly allocated sector
+        # is already the MRU of its set
+        sector_bytes = self._sector_bytes
+        sector_id = addr // sector_bytes
         sector = self._index.get(sector_id)
-        writebacks: list[int] = []
         if sector is None:
             sector, writebacks = self._allocate_sector(sector_id)
-        idx = self._line_index(addr)
-        if dirty or sector.lines[idx] is not LineState.DIRTY:
+        else:
+            writebacks = []
+            self._touch_sector(sector_id, sector)
+        lines = sector.lines
+        idx = (addr % sector_bytes) // self._line_bytes
+        if dirty or lines[idx] is not LineState.DIRTY:
             # a clean refill never downgrades a dirty line (its data is
             # newer than the AM's until written back)
-            sector.lines[idx] = LineState.DIRTY if dirty else LineState.CLEAN
-        self._touch(addr)
+            lines[idx] = LineState.DIRTY if dirty else LineState.CLEAN
         return writebacks
 
     def mark_dirty(self, addr: int) -> None:
@@ -150,19 +155,14 @@ class SectoredCache:
             victim = ways.pop(0)  # LRU
             del self._index[victim.sector_id]
             self.sector_evictions += 1
-            for idx, state in enumerate(victim.lines):
-                if state is LineState.DIRTY:
-                    writebacks.append(self.line_base_addr(victim.sector_id, idx))
+            if LineState.DIRTY in victim.lines:
+                for idx, state in enumerate(victim.lines):
+                    if state is LineState.DIRTY:
+                        writebacks.append(self.line_base_addr(victim.sector_id, idx))
         sector = _Sector(sector_id, self._lines_per_sector)
         ways.append(sector)
         self._index[sector_id] = sector
         return sector, writebacks
-
-    def _touch(self, addr: int) -> None:
-        sector_id = addr // self._sector_bytes
-        sector = self._index.get(sector_id)
-        if sector is not None:
-            self._touch_sector(sector_id, sector)
 
     def _touch_sector(self, sector_id: int, sector: _Sector) -> None:
         # ``sector`` is resident, so its set is non-empty

@@ -9,20 +9,21 @@ This reproduces the paper's Table 2 latencies exactly in the
 uncontended case and preserves the qualitative behaviour of hot links
 without flit-level simulation (DESIGN.md section 3).
 
-Two kernel fast paths keep the model cheap without changing a single
-arrival time (docs/PERF.md):
+Each subnet's state lives on one slotted :class:`_Lane`, and two kernel
+fast paths keep the model cheap without changing a single arrival time
+(docs/PERF.md):
 
-- XY routes are resolved once per ``(subnet, src, dst)`` into tuples of
-  :class:`~repro.sim.resources.ContentionPoint` objects instead of
+- every XY route is resolved when the fabric is built, into a tuple of
+  :class:`~repro.sim.resources.ContentionPoint` objects, instead of
   re-walking mesh coordinates on every transfer;
-- the fabric tracks, per subnet, the latest time any link is occupied
-  to (``max free``).  A transfer departing at or after that horizon
+- the lane tracks the latest time any of its links is occupied to
+  (``max_free``).  A transfer departing at or after that horizon
   cannot queue anywhere, so its arrival is the closed form
   ``depart + hop * h + f`` and each link on the path takes a branchless
-  idle-occupation update.  Any transfer departing earlier falls back to
-  the full per-hop wait/occupy walk — under contention, and under
-  retransmission traffic from the lossy transport, semantics are
-  untouched.
+  idle-occupation update.  Any transfer departing earlier takes the
+  per-hop contended walk, inlined over each link's single server slot —
+  under contention, and under retransmission traffic from the lossy
+  transport, semantics are untouched.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ from repro.sim.resources import ContentionPoint
 #: test wants to inspect.
 DEFAULT_TRACE_LIMIT = 65_536
 
+_REQUEST = Subnet.REQUEST
+
+
+class _Lane:
+    """One subnet's routes and contention horizon."""
+
+    __slots__ = ("routes", "max_free")
+
+    def __init__(self, routes: dict[tuple[int, int], tuple[tuple, int]]):
+        #: (src, dst) -> (the route's single-server ContentionPoints in
+        #: hop order, hop count).
+        self.routes = routes
+        #: The latest time any link of the subnet is occupied to.  A
+        #: transfer departing at or after it cannot queue.
+        self.max_free = 0
+
 
 class MeshFabric:
     """The physical interconnect: two subnets of contended links."""
@@ -54,6 +71,7 @@ class MeshFabric:
     ):
         self.mesh = mesh
         self.latency = latency
+        self._hop = latency.hop
         self._links: dict[Subnet, dict[tuple[int, int], ContentionPoint]] = {
             subnet: {
                 link: ContentionPoint(name=f"{subnet.name}:{link[0]}->{link[1]}")
@@ -61,15 +79,8 @@ class MeshFabric:
             }
             for subnet in Subnet
         }
-        #: Lazily-built routing tables: (src, dst) -> (tuple of the
-        #: route's ContentionPoints in hop order, hop count).
-        self._routes: dict[Subnet, dict[tuple[int, int], tuple[tuple, int]]] = {
-            subnet: {} for subnet in Subnet
-        }
-        #: Per-subnet contention horizon: the latest time any link of
-        #: the subnet is occupied to.  A transfer departing at or after
-        #: it cannot queue (fast-forward applicability condition).
-        self._max_free: dict[Subnet, int] = {subnet: 0 for subnet in Subnet}
+        self._request = self._lane(Subnet.REQUEST)
+        self._reply = self._lane(Subnet.REPLY)
         self.record_trace = record_trace
         if trace_limit <= 0:
             raise ValueError("trace_limit must be positive")
@@ -82,6 +93,18 @@ class MeshFabric:
         self.messages_sent = 0
         self.flits_carried = 0
         self.data_bytes_carried = 0
+
+    def _lane(self, subnet: Subnet) -> _Lane:
+        """Resolve every XY route of ``subnet`` into its links."""
+        links = self._links[subnet]
+        n = self.mesh.n_nodes
+        routes = {}
+        for src in range(n):
+            for dst in range(n):
+                if src != dst:
+                    route = tuple(links[link] for link in self.mesh.xy_route(src, dst))
+                    routes[src, dst] = (route, len(route))
+        return _Lane(routes)
 
     # -- core transfer --------------------------------------------------
 
@@ -103,42 +126,45 @@ class MeshFabric:
         """
         if src == dst:
             return depart
-        routes = self._routes[subnet]
-        cached = routes.get((src, dst))
-        if cached is None:
-            cached = self._build_route(subnet, src, dst)
-        route, hops = cached
-        hop = self.latency.hop
-        if depart >= self._max_free[subnet]:
+        lane = self._request if subnet is _REQUEST else self._reply
+        route, hops = lane.routes[src, dst]
+        hop = self._hop
+        if depart >= lane.max_free:
             # Contention-free fast-forward: no link in the subnet is
             # occupied past ``depart``, so nothing on the path can make
             # the header wait and the arrival is closed-form.  Each link
-            # still records the occupation (slot access: links are
-            # single-server, asserted at route build) so a later,
-            # earlier-departing transfer that falls back to the full
-            # walk sees identical link state.
+            # still records the occupation so a later, earlier-departing
+            # transfer that takes the contended walk sees identical link
+            # state.
             end = depart + flits
             for point in route:
                 point._free[0] = end
                 point.busy_cycles += flits
                 point.uses += 1
                 end += hop
-            # ends of successive links grow by ``hop``; the last one is
-            # the new subnet horizon
-            self._max_free[subnet] = end - hop
-            arrival = depart + hop * hops + flits
+            # ends of successive links grow by ``hop``: the last one is
+            # the new horizon, and one more ``hop`` is the arrival
+            lane.max_free = end - hop
+            arrival = end
         else:
+            # the header waits at each link until its server is free,
+            # then holds it for the packet's flits
             cursor = depart
             for point in route:
-                start = point.wait_until_free(cursor)
-                point.occupy(start, flits)
+                free = point._free
+                start = free[0]
+                if cursor > start:
+                    start = cursor
+                free[0] = start + flits
+                point.busy_cycles += flits
+                point.uses += 1
                 cursor = start + hop
             arrival = cursor + flits
             # link starts are non-decreasing along the path, so the last
             # link's occupation end bounds this transfer's contribution
             end_last = arrival - hop
-            if end_last > self._max_free[subnet]:
-                self._max_free[subnet] = end_last
+            if end_last > lane.max_free:
+                lane.max_free = end_last
         self.messages_sent += 1
         self.flits_carried += flits * hops
         self.data_bytes_carried += data_bytes
@@ -149,19 +175,6 @@ class MeshFabric:
                 Message(kind=kind, src=src, dst=dst, item=item, depart=depart, arrive=arrival)
             )
         return arrival
-
-    def _build_route(
-        self, subnet: Subnet, src: int, dst: int
-    ) -> tuple[tuple, int]:
-        """Resolve and memoize the XY route as ContentionPoint objects."""
-        links = self._links[subnet]
-        route = tuple(links[link] for link in self.mesh.xy_route(src, dst))
-        for point in route:
-            # the fast path writes _free[0] directly
-            assert len(point._free) == 1, "mesh links must be single-server"
-        cached = (route, len(route))
-        self._routes[subnet][(src, dst)] = cached
-        return cached
 
     # -- convenience wrappers --------------------------------------------
 
@@ -175,9 +188,7 @@ class MeshFabric:
         item: int | None = None,
     ) -> int:
         """Send a control packet (request/ack/invalidation)."""
-        return self.transfer(
-            src, dst, self.latency.control_flits, subnet, depart, kind=kind, item=item
-        )
+        return self.transfer(src, dst, self.latency.control_flits, subnet, depart, kind, item)
 
     def data(
         self,
@@ -190,16 +201,7 @@ class MeshFabric:
     ) -> int:
         """Send a packet carrying a full memory item on the reply subnet."""
         flits = self.latency.control_flits + self.latency.item_flits(item_bytes)
-        return self.transfer(
-            src,
-            dst,
-            flits,
-            Subnet.REPLY,
-            depart,
-            kind=kind,
-            item=item,
-            data_bytes=item_bytes,
-        )
+        return self.transfer(src, dst, flits, Subnet.REPLY, depart, kind, item, item_bytes)
 
     def broadcast(
         self,
@@ -235,5 +237,5 @@ class MeshFabric:
         for links in self._links.values():
             for point in links.values():
                 point.reset()
-        # links are idle again, so the fast-forward horizon restarts
-        self._max_free = {subnet: 0 for subnet in Subnet}
+        # links are idle again, so the fast-forward horizons restart
+        self._request.max_free = self._reply.max_free = 0

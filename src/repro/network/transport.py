@@ -164,15 +164,13 @@ class FaultyFabric:
         packet is discarded by the destination's end-to-end check, a
         duplicated packet crosses the network twice).
         """
-        arrival = self.raw.transfer(
-            src, dst, flits, subnet, depart, kind=kind, item=item, data_bytes=data_bytes
-        )
+        arrival = self.raw.transfer(src, dst, flits, subnet, depart, kind, item, data_bytes)
         fate, delay = self.faults.draw(src, dst, depart)
         if fate is DeliveryFate.DROPPED:
             return fate, None
         if fate is DeliveryFate.DUPLICATED:
             # the duplicate consumes bandwidth too
-            self.raw.transfer(src, dst, flits, subnet, depart, kind=kind, item=item)
+            self.raw.transfer(src, dst, flits, subnet, depart, kind, item)
         return fate, arrival + delay
 
 
@@ -318,8 +316,7 @@ class ReliableTransport:
             # pay-for-use: a reliable transport over reliable links is
             # the identity — no draws, no counters, identical cycles
             return self._raw_transfer(
-                src, dst, flits, subnet, depart,
-                kind=kind, item=item, data_bytes=data_bytes,
+                src, dst, flits, subnet, depart, kind, item, data_bytes
             )
         return self._reliable_transfer(
             src, dst, flits, subnet, depart, kind, item, data_bytes
@@ -455,10 +452,7 @@ class ReliableTransport:
         kind: MessageKind | None = None,
         item: int | None = None,
     ) -> int:
-        return self.transfer(
-            src, dst, self._control_flits, subnet, depart,
-            kind=kind, item=item,
-        )
+        return self.transfer(src, dst, self._control_flits, subnet, depart, kind, item)
 
     def data(
         self,
@@ -471,10 +465,7 @@ class ReliableTransport:
     ) -> int:
         lat = self.raw.latency
         flits = lat.control_flits + lat.item_flits(item_bytes)
-        return self.transfer(
-            src, dst, flits, Subnet.REPLY, depart,
-            kind=kind, item=item, data_bytes=item_bytes,
-        )
+        return self.transfer(src, dst, flits, Subnet.REPLY, depart, kind, item, item_bytes)
 
     def broadcast(
         self,

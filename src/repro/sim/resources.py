@@ -84,7 +84,8 @@ class ContentionPoint:
         if len(free) == 1:
             idx = 0
         else:
-            idx = min(range(len(free)), key=free.__getitem__)
+            # the lowest-index server among the earliest free
+            idx = free.index(min(free))
         start = at if at > free[idx] else free[idx]
         self.waited_cycles += start - at
         end = start + service
@@ -92,11 +93,6 @@ class ContentionPoint:
         self.busy_cycles += service
         self.uses += 1
         return end
-
-    def wait_until_free(self, at: int) -> int:
-        """Earliest time a server is free at or after ``at``."""
-        nf = self.next_free
-        return at if at > nf else nf
 
     def reset(self) -> None:
         self._free = [0] * len(self._free)

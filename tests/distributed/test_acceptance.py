@@ -16,6 +16,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,50 @@ def test_sigkill_one_worker_mid_campaign(tmp_path, workers):
     assert report.dispatch["reassignments"] >= 1
 
     assert _store_payloads(store_dir) == _run_serial(tmp_path)
+
+
+def _live_children(pid: int) -> set[int]:
+    """Pids of the non-zombie processes whose parent is ``pid``."""
+    children = set()
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and _proc_state(int(entry.name))[1] == pid:
+            children.add(int(entry.name))
+    return children
+
+
+def _proc_state(pid: int) -> tuple[str, int]:
+    """``(state, parent pid)`` from ``/proc``; a reaped or zombie
+    process reads as ``("Z", 0)``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return "Z", 0
+    # the command name may contain spaces; the fields after it do not
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return (state, 0) if state == "Z" else (state, int(ppid))
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_daemon_takes_its_pool_with_it(tmp_path, workers):
+    """A daemon killed with a warm pool leaves no idle pool process
+    behind: each one notices its parent is gone and exits."""
+    daemon, addr = workers()
+    executor = DistributedExecutor([addr], heartbeat_interval=0.2, heartbeat_misses=5)
+    report = CampaignRunner(CONFIG, store=ResultStore(tmp_path / "warm")).run(
+        executor=executor
+    )
+    assert report.ok
+    pool = _live_children(daemon.pid)
+    assert pool, "the daemon ran cells without a pool process"
+
+    os.kill(daemon.pid, signal.SIGKILL)
+    assert daemon.wait(timeout=10) == -signal.SIGKILL
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and any(
+        _proc_state(pid)[0] != "Z" for pid in pool
+    ):
+        time.sleep(0.1)
+    assert all(_proc_state(pid)[0] == "Z" for pid in pool)
 
 
 def test_max_tasks_chaos_knob_forces_reassignment(tmp_path, workers):

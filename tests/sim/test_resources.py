@@ -37,13 +37,6 @@ def test_busy_cycles_accumulate():
     assert cp.uses == 2
 
 
-def test_wait_until_free():
-    cp = ContentionPoint()
-    cp.occupy(0, 25)
-    assert cp.wait_until_free(10) == 25
-    assert cp.wait_until_free(40) == 40
-
-
 def test_utilisation():
     cp = ContentionPoint()
     cp.occupy(0, 50)
@@ -73,6 +66,17 @@ def test_multi_server_four_controllers():
     ends = [cp.occupy(0, 20) for _ in range(4)]
     assert ends == [20, 20, 20, 20]
     assert cp.occupy(0, 20) == 40
+
+
+def test_multi_server_tie_picks_server_zero():
+    cp = ContentionPoint(servers=3)
+    cp.occupy(0, 10)
+    assert cp._free == [10, 0, 0]  # all idle: the lowest index serves
+    cp.occupy(0, 10)
+    cp.occupy(0, 10)
+    assert cp._free == [10, 10, 10]
+    assert cp.occupy(0, 5) == 15  # every server free at 10: server 0
+    assert cp._free == [15, 10, 10]
 
 
 def test_multi_server_next_free_is_earliest():
