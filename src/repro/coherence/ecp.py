@@ -33,13 +33,16 @@ scans.
 
 from __future__ import annotations
 
+from repro.coherence.directory import DirectoryEntry
 from repro.coherence.injection import InjectionCause
 from repro.coherence.standard import ProtocolError, StandardProtocol
 from repro.memory.states import ItemState
 from repro.network.message import MessageKind
 from repro.network.topology import Subnet
 
-_SERVING_READ_ECP = frozenset(
+#: Serving-copy states that answer a read or write miss: Shared-CK1
+#: serves like a Master-Shared copy (Section 4.1).
+_SERVING_ECP = frozenset(
     {ItemState.EXCLUSIVE, ItemState.MASTER_SHARED, ItemState.SHARED_CK1}
 )
 _INV_CK = (ItemState.INV_CK1, ItemState.INV_CK2)
@@ -51,15 +54,13 @@ class ExtendedProtocol(StandardProtocol):
 
     name = "ecp"
 
+    _serving_states = _SERVING_ECP
+
     # -- read path ------------------------------------------------------
 
-    def _serving_states_read(self) -> frozenset[ItemState]:
-        return _SERVING_READ_ECP
-
-    def _pre_miss_read(self, node_id: int, item: int, now: int) -> int:
+    def _pre_miss_read(self, node_id: int, item: int, state: ItemState, now: int) -> int:
         """Read access on a local Inv-CK copy: the copy must first be
         transferred to another node (Table 1, row 3)."""
-        state = self.nodes[node_id].am.state(item)
         if state in _INV_CK:
             result = self.injector.inject(
                 node_id, item, state, now, InjectionCause.READ_INV_CK
@@ -69,10 +70,9 @@ class ExtendedProtocol(StandardProtocol):
 
     # -- write path ------------------------------------------------------
 
-    def _pre_miss_write(self, node_id: int, item: int, now: int) -> int:
+    def _pre_miss_write(self, node_id: int, item: int, state: ItemState, now: int) -> int:
         """Write access on a local recovery copy: inject it, then miss
         (Table 1, rows 4 and 5)."""
-        state = self.nodes[node_id].am.state(item)
         if state in _INV_CK:
             result = self.injector.inject(
                 node_id, item, state, now, InjectionCause.WRITE_INV_CK
@@ -85,20 +85,18 @@ class ExtendedProtocol(StandardProtocol):
             return result.complete
         return now
 
-    def _serve_write(
-        self, requester: int, serving: int, item: int, now: int, had_shared_copy: bool
+    def _degrade_ck_pair(
+        self,
+        requester: int,
+        serving: int,
+        item: int,
+        entry: DirectoryEntry,
+        now: int,
+        acks_done: int,
     ) -> int:
-        """Write service at a Shared-CK1 holder: like Master-Shared
-        service, except the CK pair degrades to Inv-CK (Section 4.1)."""
-        s_node = self.nodes[serving]
-        if s_node.am.state(item) is not ItemState.SHARED_CK1:
-            return super()._serve_write(requester, serving, item, now, had_shared_copy)
-        lat = self.cfg.latency
-        t = s_node.mem_ctrl.occupy(now, lat.remote_am_service)
-        entry = self.directory.entry(serving, item)
-        acks_done = self._invalidate_sharers(
-            serving, item, ack_to=requester, now=t, skip={requester}
-        )
+        """Write service at a Shared-CK1 holder is Master-Shared service
+        plus the invalidation of the Shared-CK2 partner (Section 4.1);
+        returns the latest invalidation ack."""
         partner = entry.partner
         if partner is None:
             raise ProtocolError(
@@ -107,29 +105,15 @@ class ExtendedProtocol(StandardProtocol):
         p_node = self.nodes[partner]
         if p_node.alive:
             t_inv = self.fabric.control(
-                serving, partner, Subnet.REQUEST, t, MessageKind.INVALIDATE, item
+                serving, partner, Subnet.REQUEST, now, MessageKind.INVALIDATE, item
             )
-            t_inv = p_node.mem_ctrl.occupy(t_inv, lat.pointer_lookup)
+            t_inv = p_node.mem_ctrl.occupy(t_inv, self.cfg.latency.pointer_lookup)
             self.deliver_partner_invalidate(partner, item)
             t_ack = self.fabric.control(
                 partner, requester, Subnet.REPLY, t_inv, MessageKind.INVALIDATE_ACK, item
             )
             acks_done = max(acks_done, t_ack)
-        s_node.am.set_state(item, ItemState.INV_CK1)
-        self._invalidate_cached_item(s_node, item)
-        if had_shared_copy:
-            data_done = self.fabric.control(
-                serving, requester, Subnet.REPLY, t, MessageKind.OWNERSHIP_REPLY, item
-            )
-        else:
-            data_done = self.fabric.data(
-                serving, requester, self.cfg.item_bytes, t, MessageKind.OWNERSHIP_REPLY, item
-            )
-        moved = self.directory.move_entry(item, serving, requester)
-        moved.sharers.clear()
-        moved.partner = None
-        self._move_pointer(item, serving, requester, t)
-        return max(acks_done, data_done)
+        return acks_done
 
     def deliver_partner_invalidate(self, partner: int, item: int) -> bool:
         """Receiver-side INVALIDATE at the CK2 partner: the recovery

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from repro.coherence.directory import Directory
+from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.injection import InjectionCause, InjectionEngine
 from repro.config import ArchConfig
 from repro.memory.attraction_memory import CapacityError
@@ -31,6 +31,27 @@ from repro.memory.pages import PageRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.node.node import Node
+
+# enum members the miss handlers read on every transaction: a module
+# global is cheaper to read than an enum class attribute
+_REQUEST = Subnet.REQUEST
+_REPLY = Subnet.REPLY
+_INVALID = ItemState.INVALID
+_SHARED = ItemState.SHARED
+_MASTER_SHARED = ItemState.MASTER_SHARED
+_EXCLUSIVE = ItemState.EXCLUSIVE
+_SHARED_CK1 = ItemState.SHARED_CK1
+_INV_CK1 = ItemState.INV_CK1
+_READ_REQ = MessageKind.READ_REQ
+_WRITE_REQ = MessageKind.WRITE_REQ
+_DATA_REPLY = MessageKind.DATA_REPLY
+_OWNERSHIP_REPLY = MessageKind.OWNERSHIP_REPLY
+_POINTER_LOOKUP = MessageKind.POINTER_LOOKUP
+_POINTER_UPDATE = MessageKind.POINTER_UPDATE
+_INVALIDATE = MessageKind.INVALIDATE
+_INVALIDATE_ACK = MessageKind.INVALIDATE_ACK
+#: States of a serving copy: the owner states.
+_SERVING = frozenset({_EXCLUSIVE, _MASTER_SHARED})
 
 
 class ProtocolError(RuntimeError):
@@ -55,6 +76,10 @@ class StandardProtocol:
 
     name = "standard"
 
+    #: States in which the copy a pointer names answers a read or write
+    #: miss (the ECP adds Shared-CK1).
+    _serving_states = _SERVING
+
     def __init__(
         self,
         cfg: ArchConfig,
@@ -75,9 +100,20 @@ class StandardProtocol:
         self.injector = InjectionEngine(self)
         # read()/write() run once per simulated reference; hoist the
         # constants they would otherwise chase through cfg.latency
-        self._cache_hit_lat = cfg.latency.cache_hit
-        self._am_fill_lat = cfg.latency.local_am_fill
+        lat = cfg.latency
+        self._cache_hit_lat = lat.cache_hit
+        self._am_fill_lat = lat.local_am_fill
         self._item_bytes = cfg.am.item_bytes
+        self._items_per_page = cfg.am.items_per_page
+        # ... and the ones of the remote miss handlers, including the
+        # flit counts the fabric's control()/data() wrappers compute
+        self._req_launch = lat.req_launch
+        self._remote_service_lat = lat.remote_am_service
+        self._pointer_lookup_lat = lat.pointer_lookup
+        self._fill_lat = lat.fill
+        wire = fabric.latency
+        self._control_flits = wire.control_flits
+        self._data_flits = wire.control_flits + wire.item_flits(cfg.item_bytes)
 
     # ==================================================================
     # public operations
@@ -100,7 +136,7 @@ class StandardProtocol:
             t = node.mem_ctrl.occupy(now, self._am_fill_lat)
             self._cache_fill(node, addr, dirty=False, now=t)
             return t
-        now = self._pre_miss_read(node_id, item, now)
+        now = self._pre_miss_read(node_id, item, state, now)
         stats.am_read_misses += 1
         return self._remote_read(node_id, item, addr, now)
 
@@ -116,34 +152,47 @@ class StandardProtocol:
         stats.am_write_accesses += 1
         state = node.am.state(item)
         lat = self.cfg.latency
-        if state is ItemState.EXCLUSIVE:
+        if state is _EXCLUSIVE:
             t = node.mem_ctrl.occupy(now, lat.local_am_fill)
             self._cache_fill(node, addr, dirty=True, now=t)
             return t
-        if state is ItemState.MASTER_SHARED:
+        if state is _MASTER_SHARED:
             t = node.mem_ctrl.occupy(now, lat.local_am_fill)
             t = self._invalidate_sharers(node_id, item, ack_to=node_id, now=t)
-            node.am.set_state(item, ItemState.EXCLUSIVE)
+            node.am.set_state(item, _EXCLUSIVE)
             self._cache_fill(node, addr, dirty=True, now=t)
             return t
-        now = self._pre_miss_write(node_id, item, now)
+        now = self._pre_miss_write(node_id, item, state, now)
         stats.am_write_misses += 1
-        return self._remote_write(node_id, item, addr, now)
+        # an ECP pre-miss injection leaves the copy Invalid, never Shared
+        return self._remote_write(node_id, item, addr, state is _SHARED, now)
 
     # ==================================================================
     # hooks the ECP overrides
     # ==================================================================
 
-    def _pre_miss_read(self, node_id: int, item: int, now: int) -> int:
-        """Deal with a local copy that blocks a read miss (ECP only)."""
+    def _pre_miss_read(self, node_id: int, item: int, state: ItemState, now: int) -> int:
+        """Deal with a local copy (in ``state``) that blocks a read miss
+        (ECP only)."""
         return now
 
-    def _pre_miss_write(self, node_id: int, item: int, now: int) -> int:
-        """Deal with a local copy that blocks a write miss (ECP only)."""
+    def _pre_miss_write(self, node_id: int, item: int, state: ItemState, now: int) -> int:
+        """Deal with a local copy (in ``state``) that blocks a write
+        miss (ECP only)."""
         return now
 
-    def _serving_states_read(self) -> frozenset[ItemState]:
-        return frozenset({ItemState.EXCLUSIVE, ItemState.MASTER_SHARED})
+    def _degrade_ck_pair(
+        self,
+        requester: int,
+        serving: int,
+        item: int,
+        entry: DirectoryEntry,
+        now: int,
+        acks_done: int,
+    ) -> int:
+        """Write service at a Shared-CK1 holder (ECP only: the standard
+        protocol never serves from Shared-CK1)."""
+        raise ProtocolError(f"item {item}: no recovery pairs in the standard protocol")
 
     def _check_home_reachable(self, item: int) -> None:
         """A ``None`` localization pointer is only trustworthy if the
@@ -162,98 +211,139 @@ class StandardProtocol:
     # ==================================================================
 
     def _remote_read(self, node_id: int, item: int, addr: int, now: int) -> int:
-        node = self.nodes[node_id]
-        lat = self.cfg.latency
-        t = node.mem_ctrl.occupy(now, lat.local_am_fill)
-        t += lat.req_launch
-        serving = self.directory.serving_node(item)
+        """A read miss: request via the pointer home, service at the
+        serving node, data reply, install as Shared, cache fill."""
+        nodes = self.nodes
+        node = nodes[node_id]
+        t = node.mem_ctrl.occupy(now, self._am_fill_lat) + self._req_launch
+        directory = self.directory
+        serving = directory.serving_node(item)
         if serving is None:
             self._check_home_reachable(item)
             return self._cold_miss(node_id, item, addr, t, write=False)
-        if not self.nodes[serving].alive:
+        s_node = nodes[serving]
+        if not s_node.alive:
             raise NodeUnavailable(serving, item)
-        t = self._route_request(node_id, serving, item, t, MessageKind.READ_REQ)
-        t = self._serve_read(node_id, serving, item, t)
-        t = self._install_item(node_id, item, ItemState.SHARED, t)
-        t += lat.fill
-        self._cache_fill(node, addr, dirty=False, now=t)
-        return t
-
-    def _serve_read(self, requester: int, serving: int, item: int, now: int) -> int:
-        """Owner-side handling of a read request; returns arrival of the
-        data at the requester."""
-        s_node = self.nodes[serving]
-        lat = self.cfg.latency
-        t = s_node.mem_ctrl.occupy(now, lat.remote_am_service)
-        state = s_node.am.state(item)
-        if state is ItemState.EXCLUSIVE:
-            s_node.am.set_state(item, ItemState.MASTER_SHARED)
-        elif state in self._serving_states_read():
-            pass
+        # requester -> pointer home -> serving node
+        transfer = self.fabric.transfer
+        control_flits = self._control_flits
+        home = directory.home_of(item)
+        if not nodes[home].alive:
+            home = self.ring.successor(home)
+        if home == serving:
+            # the pointer lookup overlaps the directory access that is
+            # already part of remote_am_service (Table 2 calibration)
+            t = transfer(node_id, serving, control_flits, _REQUEST, t, _READ_REQ, item)
         else:
+            t = transfer(node_id, home, control_flits, _REQUEST, t, _READ_REQ, item)
+            t = nodes[home].mem_ctrl.occupy(t, self._pointer_lookup_lat)
+            t = transfer(home, serving, control_flits, _REQUEST, t, _READ_REQ, item)
+        # owner side
+        t = s_node.mem_ctrl.occupy(t, self._remote_service_lat)
+        s_am = s_node.am
+        state = s_am.state(item)
+        if state is _EXCLUSIVE:
+            s_am.set_state(item, _MASTER_SHARED)
+        elif state not in self._serving_states:
             raise ProtocolError(
                 f"read for item {item} routed to node {serving} "
                 f"in non-serving state {state.name}"
             )
-        entry = self.directory.entry(serving, item)
-        entry.sharers.add(requester)
-        return self.fabric.data(
-            serving, requester, self.cfg.item_bytes, t, MessageKind.DATA_REPLY, item
+        directory.entry(serving, item).sharers.add(node_id)
+        t = transfer(
+            serving, node_id, self._data_flits, _REPLY, t,
+            _DATA_REPLY, item, self._item_bytes,
         )
+        # requester side
+        am = node.am
+        if am.has_page(item // self._items_per_page):
+            am.set_state(item, _SHARED)
+        else:
+            t = self._install_item(node_id, item, _SHARED, t)
+        t += self._fill_lat
+        self._cache_fill(node, addr, dirty=False, now=t)
+        return t
 
-    def _remote_write(self, node_id: int, item: int, addr: int, now: int) -> int:
-        node = self.nodes[node_id]
-        lat = self.cfg.latency
-        t = node.mem_ctrl.occupy(now, lat.local_am_fill)
-        t += lat.req_launch
-        serving = self.directory.serving_node(item)
+    def _remote_write(
+        self, node_id: int, item: int, addr: int, had_shared_copy: bool, now: int
+    ) -> int:
+        """A write miss (or the ownership upgrade of a Shared copy):
+        request via the pointer home, then the owner invalidates every
+        other copy and hands over data and ownership."""
+        nodes = self.nodes
+        node = nodes[node_id]
+        t = node.mem_ctrl.occupy(now, self._am_fill_lat) + self._req_launch
+        directory = self.directory
+        serving = directory.serving_node(item)
         if serving is None:
             self._check_home_reachable(item)
             return self._cold_miss(node_id, item, addr, t, write=True)
-        if not self.nodes[serving].alive:
+        s_node = nodes[serving]
+        if not s_node.alive:
             raise NodeUnavailable(serving, item)
-        had_shared_copy = node.am.state(item) is ItemState.SHARED
-        t = self._route_request(node_id, serving, item, t, MessageKind.WRITE_REQ)
-        t = self._serve_write(node_id, serving, item, t, had_shared_copy)
-        t = self._install_item(node_id, item, ItemState.EXCLUSIVE, t)
-        t += lat.fill
-        self._cache_fill(node, addr, dirty=True, now=t)
-        return t
-
-    def _serve_write(
-        self, requester: int, serving: int, item: int, now: int, had_shared_copy: bool
-    ) -> int:
-        """Owner-side handling of a write request: invalidate every other
-        copy, transfer data and ownership.  Returns the time the
-        requester holds the data and all invalidation acks."""
-        s_node = self.nodes[serving]
-        lat = self.cfg.latency
-        t = s_node.mem_ctrl.occupy(now, lat.remote_am_service)
-        state = s_node.am.state(item)
-        if state not in (ItemState.EXCLUSIVE, ItemState.MASTER_SHARED):
+        # requester -> pointer home -> serving node, as for a read
+        transfer = self.fabric.transfer
+        control_flits = self._control_flits
+        home = directory.home_of(item)
+        if not nodes[home].alive:
+            home = self.ring.successor(home)
+        if home == serving:
+            t = transfer(node_id, serving, control_flits, _REQUEST, t, _WRITE_REQ, item)
+        else:
+            t = transfer(node_id, home, control_flits, _REQUEST, t, _WRITE_REQ, item)
+            t = nodes[home].mem_ctrl.occupy(t, self._pointer_lookup_lat)
+            t = transfer(home, serving, control_flits, _REQUEST, t, _WRITE_REQ, item)
+        # owner side
+        t = s_node.mem_ctrl.occupy(t, self._remote_service_lat)
+        s_am = s_node.am
+        state = s_am.state(item)
+        if state not in self._serving_states:
             raise ProtocolError(
                 f"write for item {item} routed to node {serving} "
                 f"in non-owner state {state.name}"
             )
-        acks_done = self._invalidate_sharers(
-            serving, item, ack_to=requester, now=t, skip={requester}
-        )
-        # the master copy moves: the old owner drops its copy
-        s_node.am.set_state(item, ItemState.INVALID)
+        entry = directory.entry(serving, item)
+        acks_done = t
+        if entry.sharers:
+            acks_done = self._invalidate_sharers(
+                serving, item, ack_to=node_id, now=t, skip={node_id}
+            )
+        if state is _SHARED_CK1:
+            # the recovery pair degrades to Inv-CK (Section 4.1)
+            acks_done = self._degrade_ck_pair(node_id, serving, item, entry, t, acks_done)
+            s_am.set_state(item, _INV_CK1)
+        else:
+            # the master copy moves: the old owner drops its copy
+            s_am.set_state(item, _INVALID)
         self._invalidate_cached_item(s_node, item)
         if had_shared_copy:
             # ownership-only reply; the requester's data is already valid
-            data_done = self.fabric.control(
-                serving, requester, Subnet.REPLY, t, MessageKind.OWNERSHIP_REPLY, item
+            data_done = transfer(
+                serving, node_id, control_flits, _REPLY, t, _OWNERSHIP_REPLY, item
             )
         else:
-            data_done = self.fabric.data(
-                serving, requester, self.cfg.item_bytes, t, MessageKind.OWNERSHIP_REPLY, item
+            data_done = transfer(
+                serving, node_id, self._data_flits, _REPLY, t,
+                _OWNERSHIP_REPLY, item, self._item_bytes,
             )
-        entry = self.directory.move_entry(item, serving, requester)
-        entry.sharers.clear()
-        self._move_pointer(item, serving, requester, t)
-        return max(acks_done, data_done)
+        moved = directory.move_entry(item, serving, node_id)
+        moved.sharers.clear()
+        if state is _SHARED_CK1:
+            moved.partner = None
+        # the localization pointer follows (fire-and-forget)
+        if home != serving:
+            transfer(serving, home, control_flits, _REQUEST, t, _POINTER_UPDATE, item)
+        directory.set_serving_node(item, node_id)
+        t = max(acks_done, data_done)
+        # requester side
+        am = node.am
+        if am.has_page(item // self._items_per_page):
+            am.set_state(item, _EXCLUSIVE)
+        else:
+            t = self._install_item(node_id, item, _EXCLUSIVE, t)
+        t += self._fill_lat
+        self._cache_fill(node, addr, dirty=True, now=t)
+        return t
 
     def _cold_miss(self, node_id: int, item: int, addr: int, now: int, write: bool) -> int:
         """First touch machine-wide: the toucher materialises the item
@@ -262,14 +352,14 @@ class StandardProtocol:
         lat = self.cfg.latency
         home = self.pointer_host(self.directory.home_of(item))
         t = self.fabric.control(
-            node_id, home, Subnet.REQUEST, now, MessageKind.POINTER_LOOKUP, item
+            node_id, home, _REQUEST, now, _POINTER_LOOKUP, item
         )
         t = self.nodes[home].mem_ctrl.occupy(t, lat.pointer_lookup)
         t = self.fabric.control(
-            home, node_id, Subnet.REPLY, t, MessageKind.POINTER_UPDATE, item
+            home, node_id, _REPLY, t, _POINTER_UPDATE, item
         )
         self.directory.set_serving_node(item, node_id)
-        t = self._install_item(node_id, item, ItemState.EXCLUSIVE, t)
+        t = self._install_item(node_id, item, _EXCLUSIVE, t)
         t += lat.fill
         self._cache_fill(node, addr, dirty=write, now=t)
         return t
@@ -285,20 +375,6 @@ class StandardProtocol:
             return home
         return self.ring.successor(home)
 
-    def _route_request(
-        self, requester: int, serving: int, item: int, now: int, kind: MessageKind
-    ) -> int:
-        """Requester -> pointer home -> serving node."""
-        lat = self.cfg.latency
-        home = self.pointer_host(self.directory.home_of(item))
-        if home == serving:
-            # the pointer lookup overlaps the directory access that is
-            # already part of remote_am_service (Table 2 calibration)
-            return self.fabric.control(requester, serving, Subnet.REQUEST, now, kind, item)
-        t = self.fabric.control(requester, home, Subnet.REQUEST, now, kind, item)
-        t = self.nodes[home].mem_ctrl.occupy(t, lat.pointer_lookup)
-        return self.fabric.control(home, serving, Subnet.REQUEST, t, kind, item)
-
     def deliver_invalidate(self, node_id: int, item: int) -> bool:
         """Receiver-side INVALIDATE handler: drop the local copy.
 
@@ -307,9 +383,9 @@ class StandardProtocol:
         transport yields exactly-once state effect.  Returns whether
         the delivery changed state."""
         node = self.nodes[node_id]
-        if node.am.state(item) is ItemState.INVALID:
+        if node.am.state(item) is _INVALID:
             return False
-        node.am.set_state(item, ItemState.INVALID)
+        node.am.set_state(item, _INVALID)
         self._invalidate_cached_item(node, item)
         return True
 
@@ -325,21 +401,22 @@ class StandardProtocol:
         Returns the arrival time of the last ack (or ``now``)."""
         entry = self.directory.entry(serving, item)
         acks_done = now
+        transfer = self.fabric.transfer
+        control_flits = self._control_flits
         for sharer in sorted(entry.sharers):
             if sharer in skip:
                 continue
             sh_node = self.nodes[sharer]
             if not sh_node.alive:
                 continue
-            t_inv = self.fabric.control(
-                serving, sharer, Subnet.REQUEST, now, MessageKind.INVALIDATE, item
-            )
-            t_inv = sh_node.mem_ctrl.occupy(t_inv, self.cfg.latency.pointer_lookup)
+            t_inv = transfer(serving, sharer, control_flits, _REQUEST, now, _INVALIDATE, item)
+            t_inv = sh_node.mem_ctrl.occupy(t_inv, self._pointer_lookup_lat)
             self.deliver_invalidate(sharer, item)
-            t_ack = self.fabric.control(
-                sharer, ack_to, Subnet.REPLY, t_inv, MessageKind.INVALIDATE_ACK, item
+            t_ack = transfer(
+                sharer, ack_to, control_flits, _REPLY, t_inv, _INVALIDATE_ACK, item
             )
-            acks_done = max(acks_done, t_ack)
+            if t_ack > acks_done:
+                acks_done = t_ack
         entry.sharers.clear()
         return acks_done
 
@@ -365,12 +442,6 @@ class StandardProtocol:
             node.am.allocate_page(page)
             self.registry.on_page_allocated(page, node_id)
             t = node.mem_ctrl.occupy(t, self.cfg.latency.local_am_fill)
-        else:
-            old = node.am.state(item)
-            if old is ItemState.SHARED and state is not ItemState.SHARED:
-                # upgrade in place; the old serving node already removed
-                # us from its sharing list
-                pass
         node.am.set_state(item, state)
         return t
 

@@ -8,13 +8,16 @@ Rides on the C extension :mod:`repro.kernel._hotloops` (built by
   block materialisation otherwise), because the drain loop needs
   materialised blocks to walk;
 - **hit draining** — the processor's single-stream batch loop hands
-  runs of consecutive cache hits to ``_hotloops.drain_hits``, which
-  probes, LRU-touches and advances local time entirely in C and stops
-  (without consuming) at the first reference that is not a plain cache
-  hit.  Statistics are applied in bulk afterwards: per-reference totals
-  equal the interpreter's exactly, and no Python code runs between the
-  drained references, so coordination flags, failures and protocol
-  state observe the same interleavings the pure loop produces.
+  runs of consecutive cache hits to ``machine.kernel_drain``, a
+  ``_hotloops.BatchDrain`` holding the machine's cache geometry and
+  hit latency.  One call ``(node, stream, t_local, deadline) ->
+  (consumed, t_local)`` probes, LRU-touches and advances local time
+  entirely in C and stops (without consuming) at the first reference
+  that is not a plain cache hit.  Statistics are applied in bulk at the
+  end of the call: per-reference totals equal the interpreter's
+  exactly, and no Python code runs between the drained references, so
+  coordination flags, failures and protocol state observe the same
+  interleavings the pure loop produces.
 """
 
 from __future__ import annotations
@@ -34,41 +37,6 @@ except ImportError:  # pragma: no cover - exercised on unbuilt checkouts
     _hotloops = None
 
 
-class BatchDrain:
-    """Per-machine closure the processor batch loop calls to consume a
-    run of cache hits; returns ``(consumed, t_local)``."""
-
-    __slots__ = ("_hit_lat", "_invalid", "_dirty")
-
-    def __init__(self, machine: "Machine"):
-        self._hit_lat = machine.protocol._cache_hit_lat
-        self._invalid = LineState.INVALID
-        self._dirty = LineState.DIRTY
-
-    def __call__(self, node, stream, t_local: int, deadline: int):
-        block_ref = stream._ref_at
-        if type(block_ref) is not BlockRefAt:  # migrated foreign stream guard
-            return 0, t_local
-        position = stream.position
-        thinks, isws, addrs, base = block_ref.block(stream.proc_id, position)
-        cache = node.cache
-        consumed, t_local, reads, writes = _hotloops.drain_hits(
-            thinks, isws, addrs, position - base, t_local, deadline,
-            cache._index, cache._sets, cache._n_sets,
-            cache._sector_bytes, cache._line_bytes,
-            self._invalid, self._dirty, self._hit_lat,
-        )
-        if consumed:
-            stream.position = position + consumed
-            stats = node.stats
-            stats.refs += consumed
-            stats.reads += reads
-            stats.writes += writes
-            cache.read_hits += reads
-            cache.write_hits += writes
-        return consumed, t_local
-
-
 class CompiledBackend(KernelBackend):
     """C hit-drain loop + (numpy or scalar) block generation."""
 
@@ -82,6 +50,12 @@ class CompiledBackend(KernelBackend):
                 "the _hotloops extension is not built",
                 "build it with: python -m repro.kernel.build_ext",
             )
+        if not hasattr(_hotloops, "BatchDrain"):
+            return BackendUnavailable(
+                "compiled",
+                "the built _hotloops extension predates its source",
+                "rebuild it with: python -m repro.kernel.build_ext",
+            )
         return None
 
     def attach(self, machine: "Machine") -> None:
@@ -93,4 +67,9 @@ class CompiledBackend(KernelBackend):
         for processor in machine.processors:
             for stream in processor.streams:
                 wrap_stream(stream, gen)
-        machine.kernel_drain = BatchDrain(machine)
+        cache = machine.cfg.cache
+        machine.kernel_drain = _hotloops.BatchDrain(
+            BlockRefAt, LineState.INVALID, LineState.DIRTY,
+            machine.protocol._cache_hit_lat,
+            cache.n_sets, cache.sector_bytes, cache.line_bytes,
+        )

@@ -59,6 +59,11 @@ _GROUP_OF = {
 }
 
 
+#: Read by every state lookup of an absent page (a module global is
+#: cheaper to read than an enum class attribute).
+_INVALID = ItemState.INVALID
+
+
 class AttractionMemory:
     """State memory of one node's AM."""
 
@@ -107,7 +112,7 @@ class AttractionMemory:
         per_page = self._items_per_page
         frame = self._frames.get(item // per_page)
         if frame is None:
-            return ItemState.INVALID
+            return _INVALID
         return frame.states[item % per_page]
 
     def has_page(self, page: int) -> bool:
@@ -118,7 +123,7 @@ class AttractionMemory:
         the new state is INVALID (which is then a no-op)."""
         frame = self._frames.get(self.page_of(item))
         if frame is None:
-            if state is ItemState.INVALID:
+            if state is _INVALID:
                 return
             raise KeyError(
                 f"node {self.node_id}: page {self.page_of(item)} not resident "

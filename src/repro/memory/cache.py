@@ -12,6 +12,12 @@ from __future__ import annotations
 from repro.config import CacheConfig
 from repro.memory.states import LineState
 
+# the probe/fill paths run once per simulated reference: a module
+# global is cheaper to read than an enum class attribute
+_INVALID = LineState.INVALID
+_CLEAN = LineState.CLEAN
+_DIRTY = LineState.DIRTY
+
 
 class _Sector:
     __slots__ = ("sector_id", "lines")
@@ -33,6 +39,9 @@ class SectoredCache:
         # ``self.config`` cost real time at one probe per reference)
         self._sector_bytes = config.sector_bytes
         self._line_bytes = config.line_bytes
+        #: The line states of a freshly allocated sector (copied, never
+        #: mutated).
+        self._blank_lines = (_INVALID,) * config.lines_per_sector
         # Per set: list of sectors in LRU order (front = LRU, back = MRU).
         self._sets: list[list[_Sector]] = [[] for _ in range(self._n_sets)]
         self._index: dict[int, _Sector] = {}
@@ -53,9 +62,6 @@ class SectoredCache:
 
     def _line_index(self, addr: int) -> int:
         return (addr % self._sector_bytes) // self._line_bytes
-
-    def _set_index(self, sector_id: int) -> int:
-        return sector_id % self._n_sets
 
     def line_base_addr(self, sector_id: int, line_idx: int) -> int:
         return sector_id * self.config.sector_bytes + line_idx * self.config.line_bytes
@@ -78,7 +84,7 @@ class SectoredCache:
         if (
             sector is None
             or sector.lines[(addr % sector_bytes) // self._line_bytes]
-            is LineState.INVALID
+            is _INVALID
         ):
             self.read_misses += 1
             return False
@@ -100,7 +106,7 @@ class SectoredCache:
         if (
             sector is not None
             and sector.lines[(addr % sector_bytes) // self._line_bytes]
-            is LineState.DIRTY
+            is _DIRTY
         ):
             self.write_hits += 1
             self._touch_sector(sector_id, sector)
@@ -131,10 +137,10 @@ class SectoredCache:
             self._touch_sector(sector_id, sector)
         lines = sector.lines
         idx = (addr % sector_bytes) // self._line_bytes
-        if dirty or lines[idx] is not LineState.DIRTY:
+        if dirty or lines[idx] is not _DIRTY:
             # a clean refill never downgrades a dirty line (its data is
             # newer than the AM's until written back)
-            lines[idx] = LineState.DIRTY if dirty else LineState.CLEAN
+            lines[idx] = _DIRTY if dirty else _CLEAN
         return writebacks
 
     def mark_dirty(self, addr: int) -> None:
@@ -148,18 +154,22 @@ class SectoredCache:
         sector.lines[idx] = LineState.DIRTY
 
     def _allocate_sector(self, sector_id: int) -> tuple[_Sector, list[int]]:
-        set_idx = self._set_index(sector_id)
-        ways = self._sets[set_idx]
+        ways = self._sets[sector_id % self._n_sets]
         writebacks: list[int] = []
         if len(ways) >= self._assoc:
-            victim = ways.pop(0)  # LRU
-            del self._index[victim.sector_id]
+            # the LRU victim's sector object is recycled for the new tag
+            sector = ways.pop(0)
+            lines = sector.lines
+            del self._index[sector.sector_id]
             self.sector_evictions += 1
-            if LineState.DIRTY in victim.lines:
-                for idx, state in enumerate(victim.lines):
-                    if state is LineState.DIRTY:
-                        writebacks.append(self.line_base_addr(victim.sector_id, idx))
-        sector = _Sector(sector_id, self._lines_per_sector)
+            if _DIRTY in lines:
+                for idx, state in enumerate(lines):
+                    if state is _DIRTY:
+                        writebacks.append(self.line_base_addr(sector.sector_id, idx))
+            sector.sector_id = sector_id
+            lines[:] = self._blank_lines
+        else:
+            sector = _Sector(sector_id, self._lines_per_sector)
         ways.append(sector)
         self._index[sector_id] = sector
         return sector, writebacks
@@ -176,13 +186,17 @@ class SectoredCache:
 
     def invalidate_range(self, base_addr: int, n_bytes: int) -> None:
         """Invalidate every cached line overlapping [base, base+n)."""
-        line_bytes = self.config.line_bytes
+        # every coherence invalidation and ownership move runs this:
+        # the geometry helpers are inlined
+        sector_bytes = self._sector_bytes
+        line_bytes = self._line_bytes
+        index = self._index
         addr = base_addr
         end = base_addr + n_bytes
         while addr < end:
-            sector = self._index.get(self.sector_of(addr))
+            sector = index.get(addr // sector_bytes)
             if sector is not None:
-                sector.lines[self._line_index(addr)] = LineState.INVALID
+                sector.lines[(addr % sector_bytes) // line_bytes] = _INVALID
             addr += line_bytes
 
     def clean_range(self, base_addr: int, n_bytes: int) -> list[int]:

@@ -51,7 +51,11 @@ class Processor:
         return streams
 
     def has_work(self) -> bool:
-        return any(not s.exhausted for s in self.streams)
+        streams = self.streams
+        if len(streams) == 1:
+            stream = streams[0]
+            return stream.position < stream.n_refs
+        return any(not s.exhausted for s in streams)
 
     def _next_ref(self) -> Reference | None:
         streams = self.streams
@@ -112,8 +116,9 @@ class Processor:
                 self.parked = False
                 continue
 
-            # batched execution
-            t_local = engine.now
+            # batched execution; nothing below advances the engine
+            # clock, so it is read once
+            now = t_local = engine.now
             deadline = t_local + BATCH_BUDGET_CYCLES
             failed_node: int | None = None
             streams = self.streams
@@ -151,7 +156,20 @@ class Processor:
                             hits, t_local = drain(node, stream, t_local, deadline)
                             if hits:
                                 consumed += hits
-                                continue
+                                if t_local >= deadline:
+                                    break
+                                position += hits
+                                if position >= n_refs:
+                                    consumed += 1  # as above
+                                    break
+                                # the drain stopped before the deadline
+                                # and the stream's end: at a reference
+                                # that is not a plain hit (a second call
+                                # would consume nothing) or at its
+                                # block's end (a hit there is served
+                                # below exactly as the drain would
+                                # serve it); the flags are unchanged,
+                                # so the reference is issued here
                         stream.position = position + 1
                         consumed += 1
                         think, is_write, addr = ref_at(proc_id, position)
@@ -195,5 +213,5 @@ class Processor:
                         break
             if failed_node is not None:
                 machine.detect_failure(failed_node)
-            if t_local > engine.now:
-                yield t_local - engine.now
+            if t_local > now:
+                yield t_local - now

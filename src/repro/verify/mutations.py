@@ -94,11 +94,10 @@ def _mut_write_skips_inv_ck_degrade(machine: "Machine") -> None:
     protocol = machine.protocol
     inner = protocol._pre_miss_write
 
-    def _pre_miss_write(node_id, item, now):
-        state = protocol.nodes[node_id].am.state(item)
+    def _pre_miss_write(node_id, item, state, now):
         if state in (S.SHARED_CK1, S.SHARED_CK2):
             return now  # bug: pair left in Shared-CK
-        return inner(node_id, item, now)
+        return inner(node_id, item, state, now)
 
     protocol._pre_miss_write = _pre_miss_write
 

@@ -36,18 +36,35 @@ def _water_machine(n_nodes, backend, **kw):
 
 
 def _compare(build):
-    """Run ``build(backend)`` per backend and diff comparable results."""
+    """Run ``build(backend)`` per backend and diff comparable results;
+    returns the python reference's."""
     reference = comparable_result_dict(build("python").run())
     for backend in FAST_BACKENDS:
         candidate = comparable_result_dict(build(backend).run())
         assert candidate == reference, (
             f"backend {backend!r} diverged from the python reference"
         )
+    return reference
 
 
 @pytest.mark.parametrize("n_nodes", (9, 25))
 def test_fault_free_runs_equivalent(n_nodes):
     _compare(lambda backend: _water_machine(n_nodes, backend))
+
+
+def test_write_heavy_zipf_equivalent():
+    """The write-heavy miss path: ownership transfer, invalidations and
+    one establishment injecting the written items' recovery copies."""
+
+    def build(backend):
+        cfg = ArchConfig(n_nodes=9, seed=2026).with_ft(
+            checkpoint_frequency_hz=1000.0
+        )
+        wl = make_workload("zipf", n_procs=9, scale=0.001, seed=2026,
+                           skew=0.99, write_fraction=0.5)
+        return Machine(cfg, wl, protocol="ecp", backend=backend)
+
+    assert _compare(build)["stats"]["n_checkpoints"] == 1
 
 
 def test_lossy_transport_equivalent():

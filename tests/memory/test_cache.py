@@ -99,6 +99,35 @@ def test_eviction_returns_dirty_writebacks():
     assert sorted(writebacks) == [0, 128]
 
 
+def test_fill_into_full_set_recycles_the_victim_sector():
+    cache = small_cache()  # 2 ways per set; sectors 0, 2, 4, 6 share set 0
+    cache.fill(0, dirty=True)
+    cache.fill(5 * 64, dirty=True)
+    cache.fill(7 * 64)
+    cache.fill(2 * 2048)
+    victim = cache._index[0]
+    # the new line sits at an index the victim held dirty
+    writebacks = cache.fill(4 * 2048 + 5 * 64)
+    assert sorted(writebacks) == [0, 5 * 64]
+    assert 0 not in cache._index
+    recycled = cache._index[4]
+    assert recycled is victim and recycled.sector_id == 4
+    expected = [LineState.INVALID] * 32
+    expected[5] = LineState.CLEAN
+    assert recycled.lines == expected
+    assert cache.line_state(0) is LineState.INVALID
+    assert cache.sector_evictions == 1
+    # LRU order as after a fresh allocation: the newcomer is the MRU,
+    # so the next fill into the set evicts sector 2, then sector 4
+    assert [s.sector_id for s in cache._sets[0]] == [2, 4]
+    assert cache.fill(6 * 2048) == []
+    assert [s.sector_id for s in cache._sets[0]] == [4, 6]
+    assert cache.line_state(2 * 2048) is LineState.INVALID
+    assert cache.fill(0) == []
+    assert [s.sector_id for s in cache._sets[0]] == [6, 0]
+    assert cache._index[0].lines == [LineState.CLEAN] + [LineState.INVALID] * 31
+
+
 def test_invalidate_range_covers_item():
     cache = small_cache()
     cache.fill(0)
