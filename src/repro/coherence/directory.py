@@ -54,10 +54,11 @@ class Directory:
     def serving_node(self, item: int) -> int | None:
         """Node currently answering requests for ``item`` (owner or
         Shared-CK1 holder), or None if the item was never touched."""
-        return self._pointers[self.home_of(item)].get(item)
+        # home_of inlined: one lookup per remote miss
+        return self._pointers[(item // self.items_per_page) % self.n_nodes].get(item)
 
     def set_serving_node(self, item: int, node: int) -> None:
-        self._pointers[self.home_of(item)][item] = node
+        self._pointers[(item // self.items_per_page) % self.n_nodes][item] = node
 
     def drop_pointer(self, item: int) -> None:
         self._pointers[self.home_of(item)].pop(item, None)

@@ -22,7 +22,7 @@ from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.injection import InjectionCause, InjectionEngine
 from repro.config import ArchConfig
 from repro.memory.attraction_memory import CapacityError
-from repro.memory.states import ItemState
+from repro.memory.states import _READABLE, _SHARED_CK, ItemState
 from repro.network.fabric import MeshFabric
 from repro.network.message import MessageKind
 from repro.network.ring import LogicalRing
@@ -111,6 +111,8 @@ class StandardProtocol:
         self._remote_service_lat = lat.remote_am_service
         self._pointer_lookup_lat = lat.pointer_lookup
         self._fill_lat = lat.fill
+        # ... and those of the cache coupling below every fill
+        self._writeback_lat = lat.cache_writeback_line
         wire = fabric.latency
         self._control_flits = wire.control_flits
         self._data_flits = wire.control_flits + wire.item_flits(cfg.item_bytes)
@@ -130,8 +132,9 @@ class StandardProtocol:
         stats.am_read_accesses += 1
         item = addr // self._item_bytes
         state = node.am.state(item)
-        if state.is_readable:
-            if state.is_checkpoint_readable:
+        # the predicate sets themselves: no enum property call per read
+        if state in _READABLE:
+            if state in _SHARED_CK:
                 stats.sharedck_reads += 1
             t = node.mem_ctrl.occupy(now, self._am_fill_lat)
             self._cache_fill(node, addr, dirty=False, now=t)
@@ -151,13 +154,12 @@ class StandardProtocol:
         item = addr // self._item_bytes
         stats.am_write_accesses += 1
         state = node.am.state(item)
-        lat = self.cfg.latency
         if state is _EXCLUSIVE:
-            t = node.mem_ctrl.occupy(now, lat.local_am_fill)
+            t = node.mem_ctrl.occupy(now, self._am_fill_lat)
             self._cache_fill(node, addr, dirty=True, now=t)
             return t
         if state is _MASTER_SHARED:
-            t = node.mem_ctrl.occupy(now, lat.local_am_fill)
+            t = node.mem_ctrl.occupy(now, self._am_fill_lat)
             t = self._invalidate_sharers(node_id, item, ack_to=node_id, now=t)
             node.am.set_state(item, _EXCLUSIVE)
             self._cache_fill(node, addr, dirty=True, now=t)
@@ -550,9 +552,8 @@ class StandardProtocol:
         writebacks = node.cache.fill(addr, dirty=dirty)
         if writebacks:
             # dirty victims of a sector eviction go back to the local AM
-            node.mem_ctrl.occupy(
-                now, self.cfg.latency.cache_writeback_line * len(writebacks)
-            )
+            node.mem_ctrl.occupy(now, self._writeback_lat * len(writebacks))
 
     def _invalidate_cached_item(self, node: Node, item: int) -> None:
-        node.cache.invalidate_range(item * self.cfg.item_bytes, self.cfg.item_bytes)
+        item_bytes = self._item_bytes
+        node.cache.invalidate_range(item * item_bytes, item_bytes)

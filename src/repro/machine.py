@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -907,13 +908,13 @@ class Machine:
 
     def item_census(self) -> dict[str, int]:
         """Count item copies by state name across live nodes."""
-        census: dict[str, int] = {}
+        counts: Counter = Counter()
         for node in self.nodes:
-            if not node.alive:
-                continue
-            for _item, state in node.am.non_invalid_items():
-                census[state.name] = census.get(state.name, 0) + 1
-        return census
+            if node.alive:
+                for states in node.am.frame_states():
+                    counts.update(states)  # counted in C, per frame
+        counts.pop(ItemState.INVALID, None)
+        return {state.name: n for state, n in counts.items()}
 
     def items_by_state(self) -> dict[int, dict[ItemState, list[int]]]:
         """item -> {state: [holder nodes]} over live nodes."""

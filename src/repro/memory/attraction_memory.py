@@ -121,15 +121,16 @@ class AttractionMemory:
     def set_state(self, item: int, state: ItemState) -> None:
         """Set an item's state; its page must already be resident unless
         the new state is INVALID (which is then a no-op)."""
-        frame = self._frames.get(self.page_of(item))
+        per_page = self._items_per_page
+        frame = self._frames.get(item // per_page)
         if frame is None:
             if state is _INVALID:
                 return
             raise KeyError(
-                f"node {self.node_id}: page {self.page_of(item)} not resident "
+                f"node {self.node_id}: page {item // per_page} not resident "
                 f"for item {item}"
             )
-        offset = item % self._items_per_page
+        offset = item % per_page
         old = frame.states[offset]
         if old is state:
             return
@@ -246,6 +247,11 @@ class AttractionMemory:
         base = page * self._items_per_page
         for offset, state in enumerate(frame.states):
             yield base + offset, state
+
+    def frame_states(self) -> Iterator[list[ItemState]]:
+        """Each resident frame's per-item state list (read-only use:
+        bulk counting without a per-item Python step)."""
+        return (frame.states for frame in self._frames.values())
 
     def non_invalid_items(self) -> Iterator[tuple[int, ItemState]]:
         for page in list(self._frames):

@@ -118,7 +118,7 @@ class Processor:
 
             # batched execution; nothing below advances the engine
             # clock, so it is read once
-            now = t_local = engine.now
+            now = t_local = engine._now
             deadline = t_local + BATCH_BUDGET_CYCLES
             failed_node: int | None = None
             streams = self.streams

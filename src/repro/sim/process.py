@@ -3,7 +3,9 @@
 A :class:`Process` wraps a Python generator.  The generator *yields*
 what it wants to wait on:
 
-- an ``int``/``float`` — sleep for that many cycles;
+- an ``int``/``float`` — sleep for that many cycles (a whole number:
+  a float with a fractional part raises ``SimulationError``, as
+  :meth:`~repro.sim.engine.Engine.schedule` does);
 - an :class:`~repro.sim.sync.EventFlag` — resume when the flag fires
   (the fired value is sent back into the generator);
 - an object exposing ``_subscribe(process)`` — any custom waitable.
@@ -30,10 +32,20 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
+# read on every resumption: a module global is cheaper to read than an
+# enum class attribute
+_READY = ProcessState.READY
+_WAITING = ProcessState.WAITING
+_DONE = ProcessState.DONE
+_FAILED = ProcessState.FAILED
+
+
 class Process:
     """A lightweight simulated process driven by the engine."""
 
-    __slots__ = ("engine", "name", "_body", "state", "result", "error", "completion")
+    __slots__ = (
+        "engine", "name", "_body", "state", "result", "error", "completion", "_wake",
+    )
 
     def __init__(self, engine: "Engine", body: Generator[Any, Any, Any], name: str = "proc"):
         from repro.sim.sync import EventFlag  # local import to avoid a cycle
@@ -41,36 +53,43 @@ class Process:
         self.engine = engine
         self.name = name
         self._body = body
-        self.state = ProcessState.READY
+        self.state = _READY
         self.result: Any = None
         self.error: BaseException | None = None
         #: Fires (with the generator's return value) when the process ends.
         self.completion = EventFlag(engine, name=f"{name}.done")
-        engine.schedule(0, lambda: self._step(None))
+        #: The wake-up callback every delay and the first step schedule:
+        #: bound once here instead of a new closure per yield.
+        self._wake = self._step
+        engine.schedule(0, self._wake)
 
     # -- internals ----------------------------------------------------
 
-    def _step(self, value: Any) -> None:
-        if self.state in (ProcessState.DONE, ProcessState.FAILED):
+    def _step(self, value: Any = None) -> None:
+        state = self.state
+        if state is _DONE or state is _FAILED:
             return
-        self.state = ProcessState.READY
+        self.state = _READY
         try:
             wanted = self._body.send(value)
         except StopIteration as stop:
-            self.state = ProcessState.DONE
+            self.state = _DONE
             self.result = stop.value
             self.completion.fire(stop.value)
             return
         except BaseException as exc:  # propagate to the driver via .error
-            self.state = ProcessState.FAILED
+            self.state = _FAILED
             self.error = exc
             self.completion.fire(None)
             raise
-        self.state = ProcessState.WAITING
+        self.state = _WAITING
         if isinstance(wanted, (int, float)):
             if wanted < 0:
                 raise SimulationError(f"process {self.name} yielded negative delay {wanted}")
-            self.engine.schedule(int(wanted), lambda: self._step(None))
+            # straight to the heap; _push rejects a non-integral delay
+            # exactly as Engine.schedule does
+            engine = self.engine
+            engine._push(engine._now + wanted, self._wake)
         elif hasattr(wanted, "_subscribe"):
             wanted._subscribe(self)
         else:
@@ -86,11 +105,11 @@ class Process:
 
     @property
     def done(self) -> bool:
-        return self.state is ProcessState.DONE
+        return self.state is _DONE
 
     @property
     def failed(self) -> bool:
-        return self.state is ProcessState.FAILED
+        return self.state is _FAILED
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name} {self.state.value}>"

@@ -18,6 +18,7 @@ Two flavours are provided:
 
 from __future__ import annotations
 
+from heapq import heapreplace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,6 +58,13 @@ class ContentionPoint:
     earliest-free server.  This also absorbs the timeline artifact of
     analytic models where a reservation made at a future timestamp
     would otherwise delay an earlier request.
+
+    The servers' free times are kept as a min-heap.  Which server of
+    those sharing the earliest free time takes a job is not modelled:
+    every completion time depends only on the *multiset* of free
+    times, and replacing any one copy of the minimum leaves the same
+    multiset.  A one-server heap is a plain one-slot list, which the
+    fabric's contended walk reads and writes directly.
     """
 
     __slots__ = ("name", "_free", "busy_cycles", "uses", "waited_cycles")
@@ -65,6 +73,7 @@ class ContentionPoint:
         if servers < 1:
             raise ValueError("need at least one server")
         self.name = name
+        #: Server free times, a min-heap (all zero is a valid heap).
         self._free = [0] * servers
         #: Total cycles the point has been busy (utilisation numerator).
         self.busy_cycles: int = 0
@@ -75,21 +84,17 @@ class ContentionPoint:
     @property
     def next_free(self) -> int:
         """Earliest time any server is free."""
-        return min(self._free)
+        return self._free[0]
 
     def occupy(self, at: int, service: int) -> int:
         """Occupy the earliest-free server from ``at`` for ``service``
         cycles; returns the completion time."""
         free = self._free
-        if len(free) == 1:
-            idx = 0
-        else:
-            # the lowest-index server among the earliest free
-            idx = free.index(min(free))
-        start = at if at > free[idx] else free[idx]
+        earliest = free[0]
+        start = at if at > earliest else earliest
         self.waited_cycles += start - at
         end = start + service
-        free[idx] = end
+        heapreplace(free, end)
         self.busy_cycles += service
         self.uses += 1
         return end

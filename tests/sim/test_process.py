@@ -115,6 +115,37 @@ def test_negative_yield_raises():
         engine.run()
 
 
+def test_non_integral_float_yield_raises():
+    engine = Engine()
+    log = []
+
+    def body():
+        yield 2.5
+        log.append(engine.now)  # never reached: no silent truncation
+
+    Process(engine, body())
+    with pytest.raises(SimulationError, match="non-integral"):
+        engine.run()
+    assert log == []
+
+
+def test_integral_float_yield_accepted():
+    engine = Engine()
+    log = []
+
+    def body():
+        yield 2.0
+        log.append(engine.now)
+        yield 3
+        log.append(engine.now)
+
+    proc = Process(engine, body())
+    engine.run()
+    assert log == [2, 5]
+    assert all(type(t) is int for t in log)
+    assert proc.done
+
+
 def test_unsupported_yield_raises():
     engine = Engine()
 

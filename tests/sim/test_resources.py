@@ -1,6 +1,7 @@
 """Unit tests for contention modelling."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.process import Process
@@ -68,15 +69,57 @@ def test_multi_server_four_controllers():
     assert cp.occupy(0, 20) == 40
 
 
-def test_multi_server_tie_picks_server_zero():
-    cp = ContentionPoint(servers=3)
-    cp.occupy(0, 10)
-    assert cp._free == [10, 0, 0]  # all idle: the lowest index serves
-    cp.occupy(0, 10)
-    cp.occupy(0, 10)
-    assert cp._free == [10, 10, 10]
-    assert cp.occupy(0, 5) == 15  # every server free at 10: server 0
-    assert cp._free == [15, 10, 10]
+class _ListContentionPoint:
+    """Reference model of ``ContentionPoint``: a plain list of server
+    free times, a job served by the lowest-index server among the
+    earliest free."""
+
+    def __init__(self, servers):
+        self.free = [0] * servers
+        self.busy_cycles = self.uses = self.waited_cycles = 0
+
+    def occupy(self, at, service):
+        idx = self.free.index(min(self.free))
+        start = max(at, self.free[idx])
+        self.waited_cycles += start - at
+        self.free[idx] = start + service
+        self.busy_cycles += service
+        self.uses += 1
+        return start + service
+
+    def reset(self):
+        self.__init__(len(self.free))
+
+
+#: One step of the differential test: an occupation, or a reset.
+_steps = st.one_of(
+    st.tuples(
+        # a narrow range of arrival times makes ties and out-of-order
+        # arrivals common
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=25),
+    ),
+    st.just("reset"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.lists(_steps, max_size=40))
+def test_occupy_matches_lowest_index_list_model(servers, steps):
+    cp = ContentionPoint(servers=servers)
+    ref = _ListContentionPoint(servers)
+    for step in steps:
+        if step == "reset":
+            cp.reset()
+            ref.reset()
+        else:
+            at, service = step
+            assert cp.occupy(at, service) == ref.occupy(at, service)
+        assert (cp.waited_cycles, cp.busy_cycles, cp.uses) == (
+            ref.waited_cycles, ref.busy_cycles, ref.uses
+        )
+        assert cp.next_free == min(ref.free)
+        assert sorted(cp._free) == sorted(ref.free)
 
 
 def test_multi_server_next_free_is_earliest():

@@ -1,11 +1,14 @@
 """End-to-end machine tests: full runs with processors, the checkpoint
 scheduler and both protocols."""
 
+from collections import Counter
+
 import pytest
 
 from tests.helpers import small_config
 from repro.config import ArchConfig
 from repro.machine import Machine
+from repro.workloads.datacenter import ZipfKV
 from repro.workloads.synthetic import MigratoryShared, PrivateOnly, UniformShared
 from repro.workloads.traces import TraceWorkload
 
@@ -53,6 +56,37 @@ def test_census_after_run_contains_ck_pairs():
     assert census.get("SHARED_CK1", 0) == census.get("SHARED_CK2", 0)
     assert census.get("INV_CK1", 0) == census.get("INV_CK2", 0)
     assert census.get("PRE_COMMIT1", 0) == 0  # none left after commit
+
+
+def _reference_census(machine):
+    """The census counted item by item over the live nodes."""
+    return dict(Counter(
+        state.name
+        for node in machine.nodes if node.alive
+        for _item, state in node.am.non_invalid_items()
+    ))
+
+
+def test_census_matches_per_item_count_after_a_failure():
+    wl = ZipfKV(6, refs_per_proc=1500, write_fraction=0.5, keyspace_items=512, seed=3)
+    m, r = run_machine(wl, period=200_000, n_nodes=6)
+    assert r.stats.n_checkpoints == 1
+    assert r.item_census == _reference_census(m)
+    m.fail_node(2)
+    census = m.item_census()
+    assert census == _reference_census(m)
+    # the recovery-data states the ECP adds are all present
+    for name in ("SHARED_CK1", "SHARED_CK2", "INV_CK1", "INV_CK2"):
+        assert census.get(name, 0) > 0, name
+    assert "INVALID" not in census
+    # a down node is excluded by its liveness, not only because a
+    # failure wipes its AM: take a live node down with its copies intact
+    node = m.nodes[1]
+    own = Counter(state.name for _item, state in node.am.non_invalid_items())
+    assert own
+    node.alive = False
+    assert m.item_census() == _reference_census(m)
+    assert Counter(m.item_census()) + own == Counter(census)
 
 
 def test_deterministic_runs():
