@@ -11,7 +11,8 @@ stream can lie to you —
 - :class:`FrameError`: the stream is unusable — a torn frame (EOF in
   the middle of a length or body), an oversized length prefix (either a
   hostile peer or a desynchronized stream: random bytes read as a
-  length are almost always enormous), or a body that is not valid JSON.
+  length are almost always enormous), or a body that is not valid JSON
+  (nested too deeply to decode included).
   After a ``FrameError`` the connection must be dropped; there is no
   way to resynchronize a length-prefixed stream.
 
@@ -92,7 +93,9 @@ def recv_frame(sock: socket.socket) -> dict:
     body = _recv_exact(sock, length, mid_frame=True)
     try:
         message = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bad UTF-8 or an over-long integer;
+        # RecursionError: nesting deeper than the decoder's stack
         raise FrameError(f"frame body is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise FrameError(f"frame body is {type(message).__name__}, expected object")

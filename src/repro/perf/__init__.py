@@ -1,15 +1,13 @@
-"""Simulation-kernel performance instrumentation.
+"""Simulation-kernel performance support.
 
-The ROADMAP's "fast as the hardware allows" goal only counts when it is
-measured, so this package is the repository's perf instrument:
+Speed is measured by the end-to-end benchmark in ``benchmarks/e2e/``
+(``run.py``, ``compare.py``; docs/PERF.md), which drives the simulator
+through its public API.  This package holds what it and the kernel's
+fast paths rely on:
 
 :mod:`repro.perf.bench`
-    A fixed microbenchmark suite — engine events/sec, fabric
-    flit-hops/sec, end-to-end cycles/sec on the reference workload at
-    9/25/56 nodes plus the ``repro run`` reference configuration —
-    writing ``BENCH_kernel.json`` with an environment fingerprint and
-    an optional comparison against a committed baseline (``repro
-    bench``, see docs/PERF.md).
+    :func:`~repro.perf.bench.environment_fingerprint`, the record of
+    where a benchmark report was measured.
 
 :mod:`repro.perf.golden`
     The seeded determinism contract: reference runs whose
@@ -18,12 +16,6 @@ measured, so this package is the repository's perf instrument:
     kernel fast path (fault-free and lossy-transport cells).
 """
 
-from repro.perf.bench import (  # noqa: F401
-    BenchReport,
-    BenchRow,
-    check_regression,
-    run_suite,
-)
 from repro.perf.golden import (  # noqa: F401
     GOLDEN_CELLS,
     reference_run,

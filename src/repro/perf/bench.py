@@ -1,172 +1,16 @@
-"""The ``repro bench`` microbenchmark suite.
+"""Where a benchmark ran.
 
-Three layers are measured, mirroring the kernel's hot path from the
-bottom up (every experiment funnels through them):
-
-``engine``
-    Raw event-dispatch throughput of :class:`repro.sim.engine.Engine`:
-    a fixed population of self-rescheduling timers with a mix of
-    zero-delay and short-delay wakeups (the pattern process stepping
-    and flag firing generate), measured in events/sec.
-
-``fabric``
-    :class:`repro.network.fabric.MeshFabric` transfer throughput on an
-    8x7 mesh with a seeded src/dst/packet mix, measured in
-    flit-hops/sec (the unit link occupancy is charged in).
-
-``end_to_end``
-    Whole-machine ``Machine.run`` cycles/sec on the reference workload
-    (water, ECP, 100 recovery points/s) at the paper's scalability
-    corners 9/25/56 nodes, plus the exact ``repro run`` default
-    configuration (16 nodes) whose cycles/sec is the headline number
-    regressions are judged against.
-
-Benchmarks are deterministic in *work* (seeded streams, fixed event
-counts) and honest in *measurement* (wall clock); the JSON report
-carries an environment fingerprint so numbers are only ever compared
-within comparable environments (see docs/PERF.md).
+The end-to-end benchmark (``benchmarks/e2e/``) stamps every report with
+:func:`environment_fingerprint`, and its ``compare.py`` refuses to
+compare reports whose fingerprints, less the version, differ.
 """
 
 from __future__ import annotations
 
-import gc
-import json
 import os
 import platform
-import sys
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from random import Random
 
 from repro import __version__
-from repro.config import ArchConfig, LatencyConfig, mesh_dimensions
-from repro.kernel import get_default_backend
-from repro.machine import Machine
-from repro.network.fabric import MeshFabric
-from repro.network.topology import Mesh, Subnet
-from repro.sim.engine import Engine
-from repro.workloads.registry import make_workload
-
-#: Report schema version (bump on incompatible layout changes).
-SCHEMA = 1
-
-#: Node counts for the end-to-end scalability rows (paper corners; 25
-#: stands in for the mid-size machines as the largest square mesh the
-#: quick profile still turns around fast).
-SCALING_NODES = (9, 25, 56)
-
-#: The ``repro run`` default configuration (the headline row).
-REFERENCE_APP = "water"
-REFERENCE_NODES = 16
-REFERENCE_SCALE = 0.01
-REFERENCE_SEED = 2026
-REFERENCE_FREQUENCY_HZ = 100.0
-
-
-@dataclass
-class BenchRow:
-    """One benchmark measurement."""
-
-    key: str              # stable identity used for baseline matching
-    bench: str            # engine | fabric | end_to_end
-    metric: str           # events_per_sec | flit_hops_per_sec | cycles_per_sec
-    value: float
-    wall_seconds: float
-    backend: str = "python"  # kernel backend the row was measured under
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "bench": self.bench,
-            "metric": self.metric,
-            "value": self.value,
-            "wall_seconds": self.wall_seconds,
-            "backend": self.backend,
-            "detail": dict(self.detail),
-        }
-
-
-@dataclass
-class BenchReport:
-    """The full suite result, serializable to ``BENCH_kernel.json``."""
-
-    rows: list[BenchRow]
-    environment: dict
-    quick: bool
-    baseline: dict | None = None
-
-    def row(self, key: str, backend: str | None = None) -> BenchRow | None:
-        """First row matching ``key`` (and ``backend``, when given)."""
-        for row in self.rows:
-            if row.key == key and (backend is None or row.backend == backend):
-                return row
-        return None
-
-    def attach_baseline(self, path: str | Path) -> None:
-        """Record baseline values and speedups for matching rows.
-
-        Rows match per ``(key, backend)``; baseline rows written before
-        backends existed carry no ``backend`` field and count as
-        ``python`` measurements.
-        """
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        base_rows = {
-            (r["key"], r.get("backend", "python")): r
-            for r in data.get("rows", [])
-        }
-        comparison: dict[str, dict] = {}
-        for row in self.rows:
-            base = base_rows.get((row.key, row.backend))
-            if base is None or not base.get("value"):
-                continue
-            comparison[f"{row.key}@{row.backend}"] = {
-                "baseline_value": base["value"],
-                "current_value": row.value,
-                "speedup": row.value / base["value"],
-            }
-        self.baseline = {
-            "path": str(path),
-            "environment": data.get("environment", {}),
-            "comparison": comparison,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "repro_version": __version__,
-            "quick": self.quick,
-            "environment": dict(self.environment),
-            "rows": [row.to_dict() for row in self.rows],
-            "baseline": self.baseline,
-        }
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    def format(self) -> str:
-        from repro.stats.report import format_table
-
-        rows = []
-        for row in self.rows:
-            entry = [row.key, row.backend, row.metric, f"{row.value:,.0f}",
-                     f"{row.wall_seconds:.2f}s"]
-            ckey = f"{row.key}@{row.backend}"
-            if self.baseline and ckey in self.baseline["comparison"]:
-                entry.append(
-                    f"{self.baseline['comparison'][ckey]['speedup']:.2f}x"
-                )
-            else:
-                entry.append("-")
-            rows.append(tuple(entry))
-        return format_table(
-            ["benchmark", "backend", "metric", "value", "wall", "vs baseline"],
-            rows,
-        )
 
 
 def environment_fingerprint() -> dict:
@@ -180,322 +24,3 @@ def environment_fingerprint() -> dict:
         "cpu_count": os.cpu_count(),
         "repro_version": __version__,
     }
-
-
-# -- engine -------------------------------------------------------------
-
-
-def bench_engine(max_events: int) -> BenchRow:
-    """Dispatch throughput of a fixed timer population.
-
-    64 timers each cycle through delays (0, 1, 3, 7) — the zero-delay
-    share mirrors process resumption and flag fire-outs, the short
-    delays mirror protocol sleeps — so the heap stays at a realistic
-    size while events churn through it.
-    """
-    engine = Engine()
-    delays = (0, 1, 3, 7)
-
-    def make_timer(slot: int):
-        state = [slot]
-
-        def tick() -> None:
-            state[0] += 1
-            engine.schedule(delays[state[0] & 3], tick)
-
-        return tick
-
-    for slot in range(64):
-        engine.schedule(slot & 7, make_timer(slot))
-    gc.collect()
-    t0 = time.perf_counter()
-    engine.run(max_events=max_events)
-    wall = time.perf_counter() - t0
-    return BenchRow(
-        key="engine",
-        bench="engine",
-        metric="events_per_sec",
-        value=engine.events_dispatched / wall if wall else 0.0,
-        wall_seconds=wall,
-        detail={"events": engine.events_dispatched, "timers": 64},
-    )
-
-
-# -- fabric -------------------------------------------------------------
-
-
-def bench_fabric(n_transfers: int) -> BenchRow:
-    """Transfer throughput on the paper's largest (8x7) mesh.
-
-    A seeded mix of control and data packets between random node pairs;
-    departure times advance slowly so a share of transfers genuinely
-    contend while the rest hit idle links (exercising both the
-    fast-forward and the fallback path).
-    """
-    mesh = Mesh(8, 7)
-    latency = LatencyConfig()
-    fabric = MeshFabric(mesh, latency)
-    rng = Random(2026)
-    n_nodes = mesh.n_nodes
-    pairs = []
-    for _ in range(n_transfers):
-        src = rng.randrange(n_nodes)
-        dst = rng.randrange(n_nodes)
-        if dst == src:
-            dst = (src + 1) % n_nodes
-        flits = 4 if rng.random() < 0.7 else 36
-        pairs.append((src, dst, flits))
-    gc.collect()
-    t0 = time.perf_counter()
-    depart = 0
-    for i, (src, dst, flits) in enumerate(pairs):
-        fabric.transfer(src, dst, flits, Subnet.REQUEST, depart)
-        depart += 2 + (i & 15)
-    wall = time.perf_counter() - t0
-    return BenchRow(
-        key="fabric",
-        bench="fabric",
-        metric="flit_hops_per_sec",
-        value=fabric.flits_carried / wall if wall else 0.0,
-        wall_seconds=wall,
-        detail={
-            "transfers": fabric.messages_sent,
-            "flit_hops": fabric.flits_carried,
-            "mesh": "8x7",
-        },
-    )
-
-
-# -- end to end ---------------------------------------------------------
-
-
-def bench_end_to_end(
-    n_nodes: int,
-    scale: float,
-    key: str | None = None,
-    repeats: int = 2,
-    app: str = REFERENCE_APP,
-    backend: str | None = None,
-) -> BenchRow:
-    """``Machine.run`` cycles/sec on a registered workload (the
-    reference app by default) under one kernel backend (the process
-    default when ``backend`` is ``None``).
-
-    The row reports the best of ``repeats`` identical runs: the work is
-    deterministic, so the wall-clock minimum is the standard estimator
-    of the noise floor (scheduler preemption and allocator state only
-    ever add time).
-    """
-    if backend is None:
-        backend = get_default_backend()
-    best_wall = None
-    best_result = None
-    best_machine = None
-    for _ in range(max(1, repeats)):
-        cfg = ArchConfig(n_nodes=n_nodes, seed=REFERENCE_SEED).with_ft(
-            checkpoint_frequency_hz=REFERENCE_FREQUENCY_HZ
-        )
-        wl = make_workload(
-            app, n_procs=n_nodes, scale=scale, seed=REFERENCE_SEED
-        )
-        machine = Machine(cfg, wl, protocol="ecp", backend=backend)
-        gc.collect()
-        t0 = time.perf_counter()
-        result = machine.run()
-        wall = time.perf_counter() - t0
-        if best_wall is None or wall < best_wall:
-            best_wall, best_result, best_machine = wall, result, machine
-    wall, result, machine = best_wall, best_result, best_machine
-    return BenchRow(
-        key=key or f"end_to_end_{n_nodes}",
-        bench="end_to_end",
-        metric="cycles_per_sec",
-        value=result.total_cycles / wall if wall else 0.0,
-        wall_seconds=wall,
-        backend=backend,
-        detail={
-            "app": app,
-            "protocol": "ecp",
-            "n_nodes": n_nodes,
-            "scale": scale,
-            "total_cycles": result.total_cycles,
-            "refs": result.stats.refs,
-            "refs_per_sec": result.stats.refs / wall if wall else 0.0,
-            "events_dispatched": machine.engine.events_dispatched,
-            "n_checkpoints": result.stats.n_checkpoints,
-        },
-    )
-
-
-# -- the suite ----------------------------------------------------------
-
-
-def run_suite(
-    quick: bool = False,
-    progress=None,
-    backends: tuple[str, ...] | None = None,
-) -> BenchReport:
-    """Run the full fixed suite; ``quick`` shrinks work for CI smoke.
-
-    ``backends`` selects the kernel backends the end-to-end rows are
-    measured under (default: the process-default backend only).  The
-    engine and fabric benches exercise pure interpreter paths that no
-    backend touches, so they run once and report as ``python``.
-    """
-    if backends is None:
-        backends = (get_default_backend(),)
-
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    engine_events = 200_000 if quick else 1_000_000
-    fabric_transfers = 20_000 if quick else 100_000
-    e2e_scale = 0.002 if quick else 0.01
-    ref_scale = 0.002 if quick else REFERENCE_SCALE
-
-    rows: list[BenchRow] = []
-    note(f"engine: dispatching {engine_events:,} events...")
-    rows.append(bench_engine(engine_events))
-    note(f"fabric: {fabric_transfers:,} transfers on an 8x7 mesh...")
-    rows.append(bench_fabric(fabric_transfers))
-    for backend in backends:
-        for n in SCALING_NODES:
-            mesh_dimensions(n)  # sanity: rectangular counts only
-            note(
-                f"end-to-end [{backend}]: {REFERENCE_APP} on {n} nodes "
-                f"(scale {e2e_scale})..."
-            )
-            rows.append(bench_end_to_end(n, e2e_scale, backend=backend))
-        note(
-            f"end-to-end reference [{backend}]: {REFERENCE_APP} on "
-            f"{REFERENCE_NODES} nodes (scale {ref_scale}, the "
-            f"`repro run` default)..."
-        )
-        rows.append(
-            bench_end_to_end(
-                REFERENCE_NODES, ref_scale, key="end_to_end_reference",
-                backend=backend,
-            )
-        )
-        # heavy-traffic rows: the datacenter generators stress the kernel
-        # differently — zipf concentrates coherence traffic on hot pages,
-        # scan streams misses through the attraction memory
-        for app in ("zipf", "scan"):
-            note(
-                f"end-to-end heavy traffic [{backend}]: {app} on "
-                f"{REFERENCE_NODES} nodes (scale {ref_scale})..."
-            )
-            rows.append(
-                bench_end_to_end(
-                    REFERENCE_NODES, ref_scale, key=f"end_to_end_{app}",
-                    app=app, backend=backend,
-                )
-            )
-    return BenchReport(
-        rows=rows, environment=environment_fingerprint(), quick=quick
-    )
-
-
-# -- regression gate ----------------------------------------------------
-
-
-def check_regression(
-    report: BenchReport,
-    baseline_path: str | Path,
-    tolerance: float = 0.30,
-    keys: tuple[str, ...] = ("engine",),
-) -> list[str]:
-    """Compare ``report`` against a committed baseline JSON.
-
-    Rows compare per ``(key, backend)`` — a fast vector row can never
-    mask a regression in the python row of the same key.  Baseline rows
-    without a ``backend`` field count as ``python``.  Returns a list of
-    human-readable failures; empty means no matching row regressed by
-    more than ``tolerance`` (generous by design — the gate absorbs
-    runner noise and only trips on real cliffs).
-    """
-    data = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    base_rows = {
-        (r["key"], r.get("backend", "python")): r
-        for r in data.get("rows", [])
-    }
-    failures = []
-    for key in keys:
-        rows = [row for row in report.rows if row.key == key]
-        if not rows:
-            failures.append(f"{key}: missing from current report")
-            continue
-        for row in rows:
-            base = base_rows.get((key, row.backend))
-            if base is None:
-                failures.append(
-                    f"{key}@{row.backend}: missing from baseline"
-                )
-                continue
-            floor = base["value"] * (1.0 - tolerance)
-            if row.value < floor:
-                failures.append(
-                    f"{key}@{row.backend}: {row.metric} {row.value:,.0f} "
-                    f"is below {floor:,.0f} (baseline {base['value']:,.0f} "
-                    f"- {tolerance:.0%} tolerance)"
-                )
-    return failures
-
-
-# -- profiling ----------------------------------------------------------
-
-
-def profile_reference(top: int = 25, quick: bool = False) -> str:
-    """cProfile the reference end-to-end run; return a top-N table."""
-    import cProfile
-    import io
-    import pstats
-
-    cfg = ArchConfig(n_nodes=REFERENCE_NODES, seed=REFERENCE_SEED).with_ft(
-        checkpoint_frequency_hz=REFERENCE_FREQUENCY_HZ
-    )
-    wl = make_workload(
-        REFERENCE_APP,
-        n_procs=REFERENCE_NODES,
-        scale=0.002 if quick else REFERENCE_SCALE,
-        seed=REFERENCE_SEED,
-    )
-    machine = Machine(cfg, wl, protocol="ecp")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    machine.run()
-    profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(top)
-    return buffer.getvalue()
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin CLI
-    """Standalone entry point (``python -m repro.perf.bench``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--out", default="BENCH_kernel.json")
-    parser.add_argument("--backend", action="append", default=None,
-                        metavar="NAME",
-                        help="kernel backend for the end-to-end rows "
-                        "(repeatable; default: all available)")
-    args = parser.parse_args(argv)
-    if args.backend is None:
-        from repro.kernel import available_backends
-
-        backends = available_backends()
-    else:
-        backends = tuple(args.backend)
-    report = run_suite(quick=args.quick, backends=backends,
-                       progress=lambda m: print(f"  {m}"))
-    report.write(args.out)
-    print(report.format())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -194,7 +194,11 @@ class StreamingTraceWorkload(Workload):
         except (OSError, EOFError, zlib.error) as exc:
             raise TraceFormatError(f"cannot open stream trace: {exc}") from exc
         self._next_index = 0
-        return self._header_line()
+        try:
+            return self._header_line()
+        except TraceFormatError:
+            self.close()  # a refused trace leaves no file open
+            raise
 
     def _header_line(self) -> dict:
         line = self._read_line("header")
@@ -202,7 +206,9 @@ class StreamingTraceWorkload(Workload):
             raise TraceFormatError("empty stream trace (no header line)")
         try:
             header = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON or an over-long integer;
+            # RecursionError: nesting deeper than the decoder's stack
             raise TraceFormatError(f"malformed stream-trace header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
             raise TraceFormatError(
@@ -218,11 +224,10 @@ class StreamingTraceWorkload(Workload):
             raise TraceFormatError(f"bad n_procs {n_procs!r} in header")
         if not isinstance(refs, int) or refs < 0:
             raise TraceFormatError(f"bad refs_per_proc {refs!r} in header")
-        return {
-            "n_procs": n_procs,
-            "refs_per_proc": refs,
-            "shared_base": header.get("shared_base"),
-        }
+        base = header.get("shared_base")
+        if base is not None and (not isinstance(base, int) or base < 0):
+            raise TraceFormatError(f"bad shared_base {base!r} in header")
+        return {"n_procs": n_procs, "refs_per_proc": refs, "shared_base": base}
 
     def _read_header(self) -> dict:
         return self._open_reader()

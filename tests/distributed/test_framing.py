@@ -8,6 +8,7 @@ import struct
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.distributed.framing import (
     ConnectionClosed,
@@ -118,3 +119,53 @@ def test_frame_writer_serializes_concurrent_sends(pair):
     assert set(by_tid) == set(range(n_threads))
     for order in by_tid.values():
         assert order == sorted(order)
+
+
+# -- arbitrary bytes on the wire ----------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+#: well-formed frames of any JSON value (objects, and the non-objects
+#: a frame must refuse), to interleave with raw bytes
+_frames = _json_values.map(
+    lambda v: (lambda body: struct.pack(">I", len(body)) + body)(
+        json.dumps(v).encode()
+    )
+)
+
+
+@given(st.lists(st.binary(max_size=48) | _frames, max_size=6).map(b"".join))
+@example(struct.pack(">I", 200_000) + b"[" * 200_000)
+@example(struct.pack(">I", 5_000) + b"1" * 5_000)
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_bytes_end_in_a_dict_or_a_classified_error(data):
+    """Whatever a peer sends, every read ends as a dict, a clean
+    ConnectionClosed or a FrameError: nothing else may escape the
+    coordinator's reader thread."""
+    left, right = socket.socketpair()
+
+    def send() -> None:
+        try:
+            left.sendall(data)
+            left.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the reader dropped the stream on a FrameError
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        while True:
+            try:
+                message = recv_frame(right)
+            except (ConnectionClosed, FrameError):
+                break
+            assert isinstance(message, dict)
+    finally:
+        right.close()
+        sender.join(timeout=10)
+        left.close()
+    assert not sender.is_alive()

@@ -13,9 +13,11 @@ The contract under test (see :mod:`repro.workloads.tracefile`):
 from __future__ import annotations
 
 import gzip
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.workloads.datacenter import ZipfKV
 from repro.workloads.tracefile import (
@@ -253,3 +255,65 @@ class TestTornTraces:
         _write_gz_lines(path, [json.dumps(header)])
         with pytest.raises(TraceFormatError, match="n_procs"):
             load_stream_trace(path)
+
+
+# -- arbitrary header and body bytes ------------------------------------
+
+# fields are mostly well-formed, so every check of the header is reached
+_header_fields = st.fixed_dictionaries({
+    "format": st.sampled_from([STREAM_FORMAT] * 3 + ["repro-trace"]),
+    "version": st.sampled_from([1, 1, 1, 2, "1"]),
+    "n_procs": st.integers(1, 3) | st.sampled_from([-1, 0, True, "4"]),
+    "refs_per_proc": st.integers(0, 5) | st.sampled_from([-1, 1.5, None]),
+    "shared_base": st.none() | st.integers(0, 1 << 70)
+    | st.sampled_from([-1, "x", 1.5]),
+})
+_headers = st.binary(max_size=64) | _header_fields.map(
+    lambda h: json.dumps(h).encode()
+)
+_rounds = st.lists(
+    st.lists(st.integers(-3, 1 << 40), max_size=10).map(
+        lambda ints: " ".join(map(str, ints)).encode()
+    ),
+    max_size=6,
+).map(b"\n".join)
+
+
+@given(header=_headers, body=st.binary(max_size=96) | _rounds,
+       form=st.sampled_from(["gzip", "gzip", "torn", "raw"]),
+       cut=st.integers(1, 64))
+@example(header=b"[" * 200_000, body=b"", form="gzip", cut=1)
+@example(header=b"1" * 5_000, body=b"", form="gzip", cut=1)
+@example(header=json.dumps({"format": STREAM_FORMAT, "version": 1,
+                            "n_procs": 1, "refs_per_proc": 1,
+                            "shared_base": "x"}).encode(),
+         body=b"1 0 64", form="gzip", cut=1)
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_trace_bytes_end_in_format_error_or_valid_workload(
+    header, body, form, cut
+):
+    """Any file (intact gzip, gzip cut short by ``cut`` bytes, or raw
+    bytes) is either refused with TraceFormatError, when opened or when
+    a round is read, or replays as a well-formed workload."""
+    data = header + b"\n" + body
+    if form != "raw":
+        data = gzip.compress(data)
+    if form == "torn":
+        data = data[:-cut]
+    try:
+        replay = StreamingTraceWorkload(opener=lambda: io.BytesIO(data),
+                                        chunk_refs=2, window_chunks=1)
+    except TraceFormatError:
+        return
+    try:
+        assert replay.n_procs >= 1 and replay.refs_per_proc() >= 0
+        base = replay.shared_base
+        assert base is None or (type(base) is int and base >= 0)
+        for index in range(min(replay.refs_per_proc(), 8)):
+            for proc in range(min(replay.n_procs, 4)):
+                ref = replay.ref_at(proc, index)
+                assert type(ref.think) is int and type(ref.addr) is int
+    except TraceFormatError:
+        pass
+    finally:
+        replay.close()
