@@ -546,10 +546,6 @@ class Machine:
         #: paper's scheme and is bit-identical to the pre-interface
         #: machine.
         self.recovery = build_strategy(recovery_strategy, self)
-        # real (cancellable) retransmission timers ride the event heap;
-        # they are always cancelled before dispatch, so they cost no
-        # dispatched events
-        self.transport.engine = self.engine
         self.transport.on_suspect = self._on_transport_suspect
         self.transport.on_retry_storm = lambda: self.coordinator._enter_window(
             "transport_retry_storm"

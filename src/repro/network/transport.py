@@ -18,18 +18,18 @@ checkpoint protocols can be exercised over lossy links:
     destination NIC, as in any CRC-protected wormhole network).
 
 :class:`ReliableTransport`
-    The delivery layer the protocols ride on.  It exposes the exact
-    ``transfer``/``control``/``data``/``broadcast`` interface of
-    ``MeshFabric`` so it drops in as a protocol's ``fabric``.  Per
-    (src, dst) pair it maintains a sequence number; every logical
-    message is retransmitted on timeout with exponential backoff plus
-    jitter until a positive ack arrives, duplicates are suppressed at
-    the receiver by sequence comparison, and the *first* successful
-    delivery time is returned — the analytic-transaction equivalent of
-    exactly-once effect delivery.  All waiting is charged in simulated
-    cycles, so when every fault rate is zero the transport delegates
-    straight to the fabric: no random draws, no bookkeeping, and
-    bit-identical Table 2 latencies (pay-for-use).
+    The delivery layer the protocols ride on.  It exposes the part of
+    ``MeshFabric`` the protocols use — ``transfer``, ``control``,
+    ``data`` and ``latency`` — so it drops in as a protocol's
+    ``fabric``.  Per (src, dst) pair it maintains a sequence number;
+    every logical message is retransmitted on timeout with exponential
+    backoff plus jitter until a positive ack arrives, duplicates are
+    suppressed at the receiver by sequence comparison, and the *first*
+    successful delivery time is returned — the analytic-transaction
+    equivalent of exactly-once effect delivery.  All waiting is charged
+    in simulated cycles, so when every fault rate is zero the transport
+    delegates straight to the fabric: no random draws, no bookkeeping,
+    and bit-identical Table 2 latencies (pay-for-use).
 
 Escalation, not masking: after ``suspicion_threshold`` *consecutive*
 timeouts toward one destination the transport reports the node as a
@@ -44,11 +44,9 @@ next; a suspicion of a node that is in fact alive is counted as
 
 Transactions stay analytic (DESIGN.md section 3): the retry loop
 advances a local time cursor and charges the network for every copy
-that crossed it.  When an engine is wired in, each attempt arms a real
-*cancellable* retransmission timer at its backoff deadline — cancelled
-the moment the attempt resolves — so the retry machinery exercises the
-engine's timer-cancellation path without ever dispatching an event
-(``timers_fired`` stays zero; ``events_dispatched`` is unchanged).
+that crossed it.  A retransmission timeout is a number added to that
+cursor, never an engine event, so retries schedule and dispatch
+nothing.
 """
 
 from __future__ import annotations
@@ -185,7 +183,7 @@ class OutstandingEntry:
     kind: MessageKind | None
     item: int | None
     attempts: int = 0
-    #: Simulation time the current retransmission timer expires.
+    #: Simulation time the current attempt's retransmission timeout expires.
     backoff_deadline: int = 0
     abandoned: bool = False
 
@@ -244,18 +242,6 @@ class ReliableTransport:
         self._forced = self.faults._forced
         self._raw_transfer = fabric.transfer
         self._control_flits = fabric.latency.control_flits
-        #: Optional simulation engine (Machine wires it).  When present,
-        #: every retransmission attempt arms a *cancellable* engine
-        #: timer at its backoff deadline; the timer is cancelled the
-        #: moment the attempt resolves (ack, inline timeout handling or
-        #: abandonment), so the retry machinery never inflates
-        #: ``events_dispatched`` — cancelled events are never dispatched.
-        self.engine = None
-        #: Timers armed / timers that actually fired (the latter stays
-        #: zero: transactions are analytic, every timer is cancelled
-        #: within the transfer that armed it).
-        self.timers_armed = 0
-        self.timers_fired = 0
         #: (src, dst) -> next sequence number to assign.
         self.next_seq: dict[tuple[int, int], int] = {}
         #: (src, dst) -> highest sequence number whose effect was
@@ -273,29 +259,10 @@ class ReliableTransport:
         #: wires this to the ``transport_retry_storm`` trigger window).
         self.on_retry_storm = None
 
-    # -- MeshFabric-compatible passthroughs -----------------------------
-
-    @property
-    def mesh(self):
-        return self.raw.mesh
-
     @property
     def latency(self):
+        """The fabric's latency model (read by the protocols)."""
         return self.raw.latency
-
-    @property
-    def record_trace(self):
-        return self.raw.record_trace
-
-    @property
-    def trace(self):
-        return self.raw.trace
-
-    def link_utilisation(self, elapsed: int):
-        return self.raw.link_utilisation(elapsed)
-
-    def reset_stats(self) -> None:
-        self.raw.reset_stats()
 
     # -- the reliable transfer ------------------------------------------
 
@@ -345,67 +312,46 @@ class ReliableTransport:
         send_time = depart
         timeout = cfg.timeout_cycles
         first_arrival: int | None = None
-        engine = self.engine
-        handle = None
 
-        try:
-            while True:
-                entry.attempts += 1
-                entry.backoff_deadline = send_time + timeout
-                if entry.attempts > cfg.abandon_attempts:
-                    entry.abandoned = True
-                    self._suspect(dst)
-                    from repro.coherence.standard import NodeUnavailable
+        while True:
+            entry.attempts += 1
+            entry.backoff_deadline = send_time + timeout
+            if entry.attempts > cfg.abandon_attempts:
+                entry.abandoned = True
+                self._suspect(dst)
+                from repro.coherence.standard import NodeUnavailable
 
-                    raise NodeUnavailable(dst, item if item is not None else -1)
-                if engine is not None and entry.backoff_deadline > engine.now:
-                    # arm the real retransmission timer for this attempt;
-                    # the previous attempt's timer was handled inline
-                    # (timeout charged analytically), so cancel it first
-                    if handle is not None:
-                        handle.cancel()
-                    handle = engine.schedule_cancellable_at(
-                        entry.backoff_deadline, self._timer_fired
-                    )
-                    self.timers_armed += 1
-                if entry.attempts > 1:
-                    stats.transport_retries += 1
-                    stats.transport_retransmitted_flits += flits
-                fate, arrival = self.faulty.attempt(
-                    src, dst, flits, subnet, send_time,
-                    kind=kind, item=item,
-                    data_bytes=data_bytes if entry.attempts == 1 else 0,
-                )
-                if arrival is not None:
-                    if self.delivered_seq.get(pair, -1) >= seq:
-                        # a retransmission of an already-applied message:
-                        # the receiver's sequence check suppresses it
-                        stats.transport_duplicates_suppressed += 1
-                    else:
-                        self.delivered_seq[pair] = seq
-                        first_arrival = arrival
-                    if fate is DeliveryFate.DUPLICATED:
-                        # the in-flight duplicate arrives with the same
-                        # sequence number and is suppressed too
-                        stats.transport_duplicates_suppressed += 1
-                    if self._send_ack(dst, src, ack_subnet, arrival, item):
-                        self.consecutive_timeouts[dst] = 0
-                        del self.outstanding[pair]
-                        assert first_arrival is not None
-                        return first_arrival
-                # message or ack lost: the retransmission timer expires
-                stats.transport_timeouts += 1
-                self._note_timeout(dst)
-                send_time = send_time + timeout
-                timeout = self._next_timeout(timeout)
-        finally:
-            # the transfer resolved (delivered or abandoned): the armed
-            # timer must never reach dispatch
-            if handle is not None:
-                handle.cancel()
-
-    def _timer_fired(self) -> None:  # pragma: no cover - always cancelled
-        self.timers_fired += 1
+                raise NodeUnavailable(dst, item if item is not None else -1)
+            if entry.attempts > 1:
+                stats.transport_retries += 1
+                stats.transport_retransmitted_flits += flits
+            fate, arrival = self.faulty.attempt(
+                src, dst, flits, subnet, send_time,
+                kind=kind, item=item,
+                data_bytes=data_bytes if entry.attempts == 1 else 0,
+            )
+            if arrival is not None:
+                if self.delivered_seq.get(pair, -1) >= seq:
+                    # a retransmission of an already-applied message:
+                    # the receiver's sequence check suppresses it
+                    stats.transport_duplicates_suppressed += 1
+                else:
+                    self.delivered_seq[pair] = seq
+                    first_arrival = arrival
+                if fate is DeliveryFate.DUPLICATED:
+                    # the in-flight duplicate arrives with the same
+                    # sequence number and is suppressed too
+                    stats.transport_duplicates_suppressed += 1
+                if self._send_ack(dst, src, ack_subnet, arrival, item):
+                    self.consecutive_timeouts[dst] = 0
+                    del self.outstanding[pair]
+                    assert first_arrival is not None
+                    return first_arrival
+            # message or ack lost: the retransmission timeout expires
+            stats.transport_timeouts += 1
+            self._note_timeout(dst)
+            send_time = send_time + timeout
+            timeout = self._next_timeout(timeout)
 
     def _send_ack(
         self, src: int, dst: int, subnet: Subnet, depart: int, item: int | None
@@ -466,18 +412,6 @@ class ReliableTransport:
         lat = self.raw.latency
         flits = lat.control_flits + lat.item_flits(item_bytes)
         return self.transfer(src, dst, flits, Subnet.REPLY, depart, kind, item, item_bytes)
-
-    def broadcast(
-        self,
-        src: int,
-        targets: list[int],
-        subnet: Subnet,
-        depart: int,
-        kind: MessageKind | None = None,
-    ) -> dict[int, int]:
-        return {
-            dst: self.control(src, dst, subnet, depart, kind=kind) for dst in targets
-        }
 
     # -- diagnostics ----------------------------------------------------
 

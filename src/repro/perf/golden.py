@@ -89,8 +89,8 @@ class GoldenCell:
 
 #: The pinned cells.  The lossy cell matters doubly: the fabric
 #: fast-forward must stay exact under retransmission traffic, and the
-#: transport's timer bookkeeping (cancellable handles) must not perturb
-#: the seeded loss draws.
+#: transport's retry and backoff bookkeeping must not perturb the
+#: seeded loss draws.
 GOLDEN_CELLS = (
     GoldenCell(name="water9_faultfree"),
     GoldenCell(name="water9_loss1pct", loss_rate=0.01),

@@ -2,18 +2,16 @@
 
 Time is measured in integer processor cycles (50 ns at the paper's
 20 MHz clock).  The engine is deliberately minimal: a stable priority
-queue of ``[time, sequence, callback]`` entries and a run loop.  All
-higher-level behaviour (processes, barriers, resources) is layered on
+queue of ``(time, sequence, callback)`` entries and a run loop.  All
+higher-level behaviour (processes, barriers, contention) is layered on
 top in the sibling modules.
 
 The run loop dispatches in *same-timestamp batches*: the clock moves
 once per distinct timestamp, the ``until`` horizon is checked once per
 batch instead of once per event, and zero-delay work scheduled during a
 batch lands on an O(1) now-queue instead of churning through the heap.
-Entries are mutable lists so an event can be cancelled in place
-(:class:`EventHandle`): cancellation tombstones the entry, the heap
-drops tombstones lazily as they surface, and a compaction pass rebuilds
-the heap when tombstones dominate it.
+There is one kind of event: once scheduled, it fires when the clock
+reaches it.
 """
 
 from __future__ import annotations
@@ -22,57 +20,9 @@ import heapq
 from collections import deque
 from typing import Callable
 
-#: Lazy-deletion bounds: compaction runs only once more than
-#: ``_COMPACT_MIN`` tombstones accumulate *and* tombstones outnumber
-#: live heap entries.  Below the floor the rebuild costs more than the
-#: dead entries ever will.
-_COMPACT_MIN = 64
-
 
 class SimulationError(RuntimeError):
     """Raised on misuse of the simulation kernel (e.g. scheduling in the past)."""
-
-
-class EventHandle:
-    """A scheduled event that can be cancelled before it fires.
-
-    Returned by :meth:`Engine.schedule_cancellable` /
-    :meth:`Engine.schedule_cancellable_at`.  Cancellation is O(1): the
-    heap entry is tombstoned in place and skipped (uncounted) when it
-    surfaces, so cancelled timers cost neither a heap re-sift now nor a
-    no-op dispatch later.
-    """
-
-    __slots__ = ("_engine", "_entry")
-
-    def __init__(self, engine: "Engine", entry: list):
-        self._engine = engine
-        self._entry = entry
-
-    @property
-    def time(self) -> int:
-        """Absolute fire time the event was scheduled for."""
-        return self._entry[0]
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still pending (not fired, not cancelled)."""
-        return self._entry[2] is not None
-
-    def cancel(self) -> bool:
-        """Cancel the event; False if it already fired or was cancelled."""
-        entry = self._entry
-        if entry[2] is None:
-            return False
-        entry[2] = None
-        engine = self._engine
-        engine._cancelled += 1
-        if (
-            engine._cancelled > _COMPACT_MIN
-            and engine._cancelled * 2 > len(engine._heap)
-        ):
-            engine._compact()
-        return True
 
 
 class Engine:
@@ -81,19 +31,15 @@ class Engine:
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
-        self._heap: list[list] = []  # [time, seq, callback-or-None]
+        self._heap: list[tuple] = []  # (time, seq, callback)
         #: Zero-delay work scheduled *during* dispatch at the current
         #: timestamp; drained after the heap's same-timestamp batch (its
         #: entries always carry later sequence numbers than anything at
         #: this timestamp already in the heap, so FIFO order holds).
-        self._nowq: deque[list] = deque()
+        self._nowq: deque[tuple] = deque()
         self._running = False
-        #: Tombstoned (cancelled) entries still sitting in the heap or
-        #: now-queue, awaiting lazy deletion.
-        self._cancelled: int = 0
         #: Number of events dispatched so far (useful for tests and as a
-        #: watchdog against runaway simulations).  Cancelled events are
-        #: never dispatched and never counted.
+        #: watchdog against runaway simulations).
         self.events_dispatched: int = 0
 
     @property
@@ -101,7 +47,7 @@ class Engine:
         """Current simulation time in cycles."""
         return self._now
 
-    def _push(self, time: int, callback: Callable[[], None]) -> list:
+    def _push(self, time: int, callback: Callable[[], None]) -> None:
         """Validate ``time`` once, build the entry, queue it."""
         itime = int(time)
         if itime != time:
@@ -113,7 +59,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {itime}, current time is {self._now}"
             )
-        entry = [itime, self._seq, callback]
+        entry = (itime, self._seq, callback)
         self._seq += 1
         if itime == self._now and self._running:
             # zero-delay fast path: the dispatch loop drains this queue
@@ -121,7 +67,6 @@ class Engine:
             self._nowq.append(entry)
         else:
             heapq.heappush(self._heap, entry)
-        return entry
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run at absolute ``time``."""
@@ -133,48 +78,14 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         self._push(self._now + delay, callback)
 
-    def schedule_cancellable_at(
-        self, time: int, callback: Callable[[], None]
-    ) -> EventHandle:
-        """Like :meth:`schedule_at`, returning a cancellable handle."""
-        return EventHandle(self, self._push(time, callback))
-
-    def schedule_cancellable(
-        self, delay: int, callback: Callable[[], None]
-    ) -> EventHandle:
-        """Like :meth:`schedule`, returning a cancellable handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return EventHandle(self, self._push(self._now + delay, callback))
-
-    def _compact(self) -> None:
-        """Rebuild the heap without tombstones (lazy-deletion backstop).
-
-        In place: ``run()`` aliases the heap list locally, so the list
-        object must keep its identity across a mid-run compaction.
-        """
-        heap = self._heap
-        before = len(heap)
-        heap[:] = [entry for entry in heap if entry[2] is not None]
-        heapq.heapify(heap)
-        self._cancelled -= before - len(heap)
-
-    def peek_time(self) -> int | None:
-        """Time of the next pending event, or None if none are pending."""
-        if self._nowq:  # only during dispatch; entries are at ``now``
-            return self._nowq[0][0]
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
-
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Dispatch events in time order.
 
         Runs until no events are pending, until simulated time would
         exceed ``until``, or until ``max_events`` events have been
-        dispatched.  Returns the final simulation time.
+        dispatched.  Returns the final simulation time.  An ``until``
+        before the current time raises :class:`SimulationError`: the
+        clock never moves backwards.
 
         Events sharing a timestamp dispatch as one batch in schedule
         (FIFO) order — including zero-delay events scheduled by the
@@ -182,6 +93,10 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run call)")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}, current time is {self._now}"
+            )
         self._running = True
         heap = self._heap
         nowq = self._nowq
@@ -190,11 +105,8 @@ class Engine:
         stop = False
         try:
             while not stop:
-                while heap and heap[0][2] is None:  # shed tombstones
-                    pop(heap)
-                    self._cancelled -= 1
                 if not heap:
-                    if until is not None and until > self._now:
+                    if until is not None:
                         self._now = until
                     break
                 t = heap[0][0]
@@ -208,31 +120,21 @@ class Engine:
                 if max_events is None:
                     while True:
                         if heap and heap[0][0] == t:
-                            entry = pop(heap)
+                            callback = pop(heap)[2]
                         elif nowq:
-                            entry = nowq.popleft()
+                            callback = nowq.popleft()[2]
                         else:
                             break
-                        callback = entry[2]
-                        if callback is None:
-                            self._cancelled -= 1
-                            continue
-                        entry[2] = None
                         callback()
                         dispatched += 1
                 else:
                     while True:
                         if heap and heap[0][0] == t:
-                            entry = pop(heap)
+                            callback = pop(heap)[2]
                         elif nowq:
-                            entry = nowq.popleft()
+                            callback = nowq.popleft()[2]
                         else:
                             break
-                        callback = entry[2]
-                        if callback is None:
-                            self._cancelled -= 1
-                            continue
-                        entry[2] = None
                         callback()
                         dispatched += 1
                         if dispatched >= max_events:
@@ -250,4 +152,4 @@ class Engine:
         return self.pending_events() == 0
 
     def pending_events(self) -> int:
-        return len(self._heap) + len(self._nowq) - self._cancelled
+        return len(self._heap) + len(self._nowq)

@@ -1,53 +1,17 @@
-"""Contention modelling.
+"""Contention modelling for analytic-latency transactions.
 
-Two flavours are provided:
-
-:class:`Resource`
-    A classic blocking queueing resource (capacity ``servers``); used by
-    full process-level models and by the kernel's own tests.
-
-:class:`ContentionPoint`
-    The fast "next-free-time" bookkeeping used by analytic-latency
-    transactions (DESIGN.md section 3).  A transaction that needs the
-    point at time ``t`` for ``service`` cycles calls
-    :meth:`ContentionPoint.occupy`; the returned value is the time the
-    service *completes*, after queueing behind earlier users.  This is a
-    single-server FIFO approximation that preserves the shape of
-    contention effects without simulating every cycle.
+:class:`ContentionPoint` is the "next-free-time" bookkeeping used by
+analytic-latency transactions (DESIGN.md section 3).  A transaction
+that needs the point at time ``t`` for ``service`` cycles calls
+:meth:`ContentionPoint.occupy`; the returned value is the time the
+service *completes*, after queueing behind earlier users.  This is a
+single-server FIFO approximation that preserves the shape of
+contention effects without simulating every cycle.
 """
 
 from __future__ import annotations
 
 from heapq import heapreplace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Engine
-
-from repro.sim.sync import EventFlag, Semaphore
-
-
-class Resource:
-    """Blocking multi-server resource for process-level models."""
-
-    __slots__ = ("engine", "name", "_sem", "total_acquisitions")
-
-    def __init__(self, engine: "Engine", servers: int = 1, name: str = "res"):
-        self.engine = engine
-        self.name = name
-        self._sem = Semaphore(engine, tokens=servers, name=name)
-        self.total_acquisitions = 0
-
-    def acquire(self) -> EventFlag:
-        self.total_acquisitions += 1
-        return self._sem.acquire()
-
-    def release(self) -> None:
-        self._sem.release()
-
-    @property
-    def available(self) -> int:
-        return self._sem.available
 
 
 class ContentionPoint:

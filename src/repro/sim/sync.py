@@ -1,4 +1,5 @@
-"""Synchronisation primitives for simulated processes."""
+"""Synchronisation primitives for simulated processes: condition flags
+and member barriers."""
 
 from __future__ import annotations
 
@@ -62,69 +63,17 @@ class EventFlag:
         return f"<EventFlag {self.name} {state}>"
 
 
-class Barrier:
-    """A reusable synchronisation barrier for ``parties`` processes.
-
-    Each participant yields ``barrier.arrive()``.  When the last party
-    arrives, every waiter resumes (on the same cycle) and the barrier
-    re-arms itself for the next generation.  The value delivered to the
-    waiters is the generation index that just completed.
-
-    ``parties`` may be lowered at runtime (``set_parties``) — needed when
-    a node fails permanently and stops participating in global
-    checkpoints.
-    """
-
-    __slots__ = ("engine", "name", "parties", "generation", "_flag", "_arrived")
-
-    def __init__(self, engine: "Engine", parties: int, name: str = "barrier"):
-        if parties <= 0:
-            raise ValueError("barrier needs at least one party")
-        self.engine = engine
-        self.name = name
-        self.parties = parties
-        self.generation = 0
-        self._flag = EventFlag(engine, name=f"{name}.gen")
-        self._arrived = 0
-
-    def arrive(self) -> EventFlag:
-        """Register arrival; yield the returned flag to wait for release."""
-        flag = self._flag
-        self._arrived += 1
-        if self._arrived >= self.parties:
-            self._release()
-        return flag
-
-    def set_parties(self, parties: int) -> None:
-        """Adjust the number of participants (e.g. after a node failure)."""
-        if parties <= 0:
-            raise ValueError("barrier needs at least one party")
-        self.parties = parties
-        if self._arrived >= self.parties:
-            self._release()
-
-    def _release(self) -> None:
-        generation = self.generation
-        self.generation += 1
-        self._arrived = 0
-        flag = self._flag
-        self._flag = EventFlag(self.engine, name=f"{self.name}.gen")
-        flag.fire(generation)
-
-    @property
-    def waiting(self) -> int:
-        return self._arrived
-
-
 class MemberBarrier:
-    """A barrier over an explicit member set.
+    """A reusable barrier over an explicit member set.
 
-    Unlike the counting :class:`Barrier`, arrivals are keyed by member:
-    arriving twice in one generation is idempotent, and a member that
-    fails mid-phase can be *removed* — its stale arrival is discarded
-    and the release condition re-evaluated.  This is what global
-    checkpoint/recovery coordination needs when nodes can die between
-    two phases of the same episode.
+    Each member yields ``barrier.arrive(member)``; when every expected
+    member has arrived, all waiters resume on the same cycle with the
+    completed generation index and the barrier re-arms.  Arrivals are
+    keyed by member: arriving twice in one generation is idempotent,
+    and a member that fails mid-phase can be *removed* — its stale
+    arrival is discarded and the release condition re-evaluated.  This
+    is what global checkpoint/recovery coordination needs when nodes
+    can die between two phases of the same episode.
     """
 
     __slots__ = ("engine", "name", "expected", "generation", "_arrived", "_flag")
@@ -173,36 +122,3 @@ class MemberBarrier:
     def arrived(self) -> frozenset:
         """Members that arrived in the current generation (diagnostics)."""
         return frozenset(self._arrived)
-
-
-class Semaphore:
-    """Counting semaphore; ``acquire()`` returns a waitable flag."""
-
-    __slots__ = ("engine", "name", "_tokens", "_queue")
-
-    def __init__(self, engine: "Engine", tokens: int = 1, name: str = "sem"):
-        if tokens < 0:
-            raise ValueError("token count must be non-negative")
-        self.engine = engine
-        self.name = name
-        self._tokens = tokens
-        self._queue: list[EventFlag] = []
-
-    def acquire(self) -> EventFlag:
-        flag = EventFlag(self.engine, name=f"{self.name}.acq")
-        if self._tokens > 0:
-            self._tokens -= 1
-            flag.fire()
-        else:
-            self._queue.append(flag)
-        return flag
-
-    def release(self) -> None:
-        if self._queue:
-            self._queue.pop(0).fire()
-        else:
-            self._tokens += 1
-
-    @property
-    def available(self) -> int:
-        return self._tokens

@@ -1,32 +1,22 @@
-"""Trace persistence: JSON traces and streaming gzip trace replay.
+"""Trace persistence: streaming gzip trace replay.
 
 Complements :mod:`repro.workloads.traces`: a recorded workload can be
-stored, inspected or edited offline, and replayed later — the
-file-based analogue of the paper's Abstract Execution trace files.
+stored and replayed later — the file-based analogue of the paper's
+Abstract Execution trace files.
 
-Two on-disk formats:
-
-**JSON (version 1)** — small, hand-editable, fully materialized::
-
-    {
-      "version": 1,
-      "shared_base": 163840,
-      "traces": [[[think, is_write, addr], ...], ...]   # one list per process
-    }
-
-**Stream trace (version 1, gzip)** — the datacenter-scale format: a
-gzip-compressed text file whose first line is a JSON header and whose
-remaining lines carry one reference *round* each (all processes'
-reference ``i`` on line ``i``, as ``think is_write addr`` integer
-triples).  Index-major layout matches how the simulator consumes
-streams — processes advance in near lockstep — so a single forward
-reader serves every process.  :class:`StreamingTraceWorkload` replays
-such a file in **bounded memory**: it decodes in chunks of
-``chunk_refs`` rounds, keeps at most ``window_chunks`` chunks resident
-(enough to cover checkpoint-rollback rewinds), and re-opens + skips
-forward on the rare rewind past the window instead of ever holding the
-whole stream.  Torn or truncated files raise
-:class:`TraceFormatError` with the offending position.
+The on-disk format (**stream trace, version 1**) is a gzip-compressed
+text file whose first line is a JSON header and whose remaining lines
+carry one reference *round* each (all processes' reference ``i`` on
+line ``i``, as ``think is_write addr`` integer triples).  Index-major
+layout matches how the simulator consumes streams — processes advance
+in near lockstep — so a single forward reader serves every process.
+:class:`StreamingTraceWorkload` replays such a file in **bounded
+memory**: it decodes in chunks of ``chunk_refs`` rounds, keeps at most
+``window_chunks`` chunks resident (enough to cover checkpoint-rollback
+rewinds), and re-opens + skips forward on the rare rewind past the
+window instead of ever holding the whole stream.  Torn, truncated or
+malformed files raise :class:`TraceFormatError` with the offending
+position.
 """
 
 from __future__ import annotations
@@ -40,9 +30,6 @@ from pathlib import Path
 from typing import BinaryIO, Callable
 
 from repro.workloads.base import Reference, Workload
-from repro.workloads.traces import TraceWorkload, record_trace
-
-FORMAT_VERSION = 1
 
 #: Header ``format`` tag of the streaming gzip trace format.
 STREAM_FORMAT = "repro-stream-trace"
@@ -51,49 +38,6 @@ STREAM_VERSION = 1
 
 class TraceFormatError(ValueError):
     """A trace file is malformed, torn, or truncated."""
-
-
-def save_trace(
-    traces: list[list[Reference]],
-    path: str | Path,
-    shared_base: int | None = None,
-) -> None:
-    """Write per-process traces to a JSON file."""
-    payload = {
-        "version": FORMAT_VERSION,
-        "shared_base": shared_base,
-        "traces": [
-            [[r.think, r.is_write, r.addr] for r in trace] for trace in traces
-        ],
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_trace(path: str | Path) -> TraceWorkload:
-    """Load a JSON trace file into a replayable workload."""
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format version {version!r}")
-    traces = [
-        [
-            Reference(think=int(t), is_write=bool(w), addr=int(a))
-            for t, w, a in trace
-        ]
-        for trace in payload["traces"]
-    ]
-    return TraceWorkload(traces, shared_base=payload.get("shared_base"))
-
-
-def export_workload(
-    workload: Workload, path: str | Path, max_refs_per_proc: int | None = None
-) -> None:
-    """Record a workload's streams and save them in one step."""
-    traces = record_trace(workload, max_refs_per_proc=max_refs_per_proc)
-    save_trace(traces, path, shared_base=workload.shared_base)
-
-
-# -- streaming gzip format ------------------------------------------------
 
 
 def write_stream_trace(

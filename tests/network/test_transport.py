@@ -232,13 +232,6 @@ def test_control_and_data_ride_the_reliable_path():
     assert transport.stats.transport_retries == 2
 
 
-def test_broadcast_acks_every_target():
-    transport = make_transport(TransportConfig(loss_rate=0.05), seed=2)
-    arrivals = transport.broadcast(0, [1, 2, 3], Subnet.REQUEST, 0)
-    assert set(arrivals) == {1, 2, 3}
-    assert all(t > 0 for t in arrivals.values())
-
-
 def test_dump_reports_quiet_transport():
     transport = make_transport()
     lines = transport.dump().lines()
@@ -276,60 +269,33 @@ def test_full_run_bit_identical_under_inert_transport_knobs():
     assert a == b
 
 
-# -- cancellable retransmission timers ---------------------------------
+# -- retries stay off the event heap -----------------------------------
 
 
-def test_retry_timers_are_armed_and_always_cancelled():
-    """With an engine wired, every retry attempt arms a real
-    retransmission timer, and every timer is cancelled before it can
-    fire: the lossy retry traffic adds *zero* dispatched events."""
-    from repro.sim.engine import Engine
+def test_machine_retries_schedule_no_events():
+    """On a built lossy machine, a transfer that is dropped, retried
+    and finally delivered charges its timeouts analytically: the
+    engine's pending and dispatched event counts do not move."""
+    from repro.machine import Machine
+    from repro.workloads.synthetic import UniformShared
+    from tests.helpers import small_config
 
-    engine = Engine()
-    transport = make_transport(TransportConfig(loss_rate=0.3), seed=11)
-    transport.engine = engine
-    dispatched_before = engine.events_dispatched
+    cfg = small_config(4).with_transport(loss_rate=0.01)
+    machine = Machine(cfg, UniformShared(4, refs_per_proc=50, seed=3),
+                      protocol="ecp")
+    transport = machine.transport
+    assert machine.protocol.fabric is transport
+    engine = machine.engine
+    engine.schedule_at(10_000, lambda: None)
+    pending, dispatched = engine.pending_events(), engine.events_dispatched
 
-    for i in range(40):
-        transport.transfer(0, 5, 32, Subnet.REQUEST, depart=engine.now + i)
-    assert transport.stats.transport_timeouts > 0  # losses actually hit
-    assert transport.timers_armed > 40  # >1 attempt somewhere
-
-    # timers for resolved transfers are tombstoned; draining the clock
-    # past every deadline must dispatch none of them
-    engine.run()
-    assert engine.events_dispatched == dispatched_before
-    assert transport.timers_fired == 0
-    assert engine.idle()
-
-
-def test_timers_cancelled_on_abandonment_too():
-    """The timer of the final (abandoned) attempt is cancelled as well:
-    a NodeUnavailable escalation leaks no pending event."""
-    from repro.coherence.standard import NodeUnavailable
-    from repro.sim.engine import Engine
-
-    engine = Engine()
-    transport = make_transport(TransportConfig(loss_rate=1.0,
-                                               abandon_attempts=3))
-    transport.engine = engine
-    with pytest.raises(NodeUnavailable):
-        transport.transfer(0, 5, 8, Subnet.REQUEST, depart=0)
-    assert transport.timers_armed == 3
-    engine.run()
-    assert engine.events_dispatched == 0
-    assert transport.timers_fired == 0
-    assert engine.idle()
-
-
-def test_no_timers_without_engine_or_faults():
-    """Timer arming is pay-for-use: none on the pass-through path, none
-    when no engine is wired."""
+    # two drops (below the suspicion threshold), then message and ack
+    transport.faults.force(D, D, OK, OK)
     clean = make_transport()
-    clean.engine = None
-    clean.transfer(0, 5, 32, Subnet.REQUEST, depart=0)
-    assert clean.timers_armed == 0
-
-    lossy = make_transport(TransportConfig(loss_rate=0.5), seed=3)
-    lossy.transfer(0, 5, 32, Subnet.REQUEST, depart=0)  # engine is None
-    assert lossy.timers_armed == 0
+    got = transport.transfer(0, 1, 32, Subnet.REQUEST, 0)
+    assert got > clean.transfer(0, 1, 32, Subnet.REQUEST, 0)
+    assert machine.stats.transport_retries == 2
+    assert machine.stats.transport_suspicions == 0
+    assert not transport.outstanding
+    assert engine.pending_events() == pending
+    assert engine.events_dispatched == dispatched

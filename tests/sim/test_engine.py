@@ -86,6 +86,25 @@ def test_run_until_advances_time_when_idle():
     assert engine.now == 100
 
 
+def test_run_until_in_the_past_raises():
+    """The clock never moves backwards: a horizon before ``now`` is a
+    misuse, like scheduling in the past, and leaves the engine as it
+    was (pending events still fire at their own times)."""
+    engine = Engine()
+    seen = []
+    engine.schedule_at(100, lambda: seen.append(engine.now))
+    engine.schedule_at(150, lambda: seen.append(engine.now))
+    engine.run(until=100)
+    with pytest.raises(SimulationError, match="cannot run until 50"):
+        engine.run(until=50)
+    assert engine.now == 100
+    with pytest.raises(SimulationError):
+        engine.schedule_at(60, lambda: seen.append(engine.now))
+    engine.run(until=100)  # a horizon equal to now is allowed
+    engine.run()
+    assert seen == [100, 150]
+
+
 def test_events_scheduled_during_dispatch():
     engine = Engine()
     seen = []
@@ -124,13 +143,6 @@ def test_idle_reporting():
     assert not engine.idle()
     engine.run()
     assert engine.idle()
-
-
-def test_peek_time():
-    engine = Engine()
-    assert engine.peek_time() is None
-    engine.schedule(9, lambda: None)
-    assert engine.peek_time() == 9
 
 
 def test_reentrant_run_rejected():
@@ -238,79 +250,3 @@ def test_max_events_splits_batch_with_zero_delay_work():
     engine.run()
     assert log == ["a", "b", "a0"]
     assert engine.now == 3
-
-
-# -- cancellable events ----------------------------------------------------
-
-
-def test_cancelled_event_never_fires_and_is_uncounted():
-    """A cancelled timer does not fire when its time is reached, does
-    not count as dispatched, and the clock still advances past it."""
-    engine = Engine()
-    log = []
-    handle = engine.schedule_cancellable(5, lambda: log.append("timer"))
-    engine.schedule_at(9, lambda: log.append("later"))
-    assert handle.active and handle.time == 5
-    assert handle.cancel() is True
-    assert not handle.active
-    assert handle.cancel() is False  # idempotent
-    engine.run()
-    assert log == ["later"]
-    assert engine.events_dispatched == 1
-    assert engine.now == 9
-
-
-def test_cancel_after_fire_reports_false():
-    engine = Engine()
-    fired = []
-    handle = engine.schedule_cancellable_at(2, lambda: fired.append(1))
-    engine.run()
-    assert fired == [1]
-    assert not handle.active
-    assert handle.cancel() is False
-    assert engine.events_dispatched == 1
-
-
-def test_pending_events_excludes_cancelled():
-    engine = Engine()
-    handles = [engine.schedule_cancellable(i + 1, lambda: None) for i in range(4)]
-    assert engine.pending_events() == 4
-    handles[1].cancel()
-    handles[2].cancel()
-    assert engine.pending_events() == 2
-    assert not engine.idle()
-
-
-def test_mass_cancellation_compacts_heap():
-    """Compaction reclaims the heap when tombstones dominate, without
-    disturbing live entries."""
-    engine = Engine()
-    live = []
-    keep = engine.schedule_cancellable(500, lambda: live.append("keep"))
-    handles = [engine.schedule_cancellable(i + 1, lambda: live.append("no"))
-               for i in range(200)]
-    for h in handles:
-        h.cancel()
-    # lazy deletion has bounded debt: tombstones no longer dominate
-    assert engine._cancelled <= len(engine._heap)
-    assert engine.pending_events() == 1
-    engine.run()
-    assert live == ["keep"]
-    assert keep.active is False
-    assert engine.now == 500
-
-
-def test_mid_run_compaction_keeps_future_events():
-    """Regression: a compaction triggered *during* dispatch (a callback
-    cancelling en masse) must not strand later events — the run loop
-    aliases the heap list, so compaction must rebuild it in place."""
-    engine = Engine()
-    log = []
-    handles = [engine.schedule_cancellable(100 + i, lambda: log.append("dead"))
-               for i in range(200)]
-    engine.schedule_at(50, lambda: [h.cancel() for h in handles])
-    engine.schedule_at(400, lambda: log.append("survivor"))
-    engine.run()
-    assert log == ["survivor"]
-    assert engine.now == 400
-    assert engine.idle()

@@ -3,9 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Engine
-from repro.sim.process import Process
-from repro.sim.resources import ContentionPoint, Resource
+from repro.sim.resources import ContentionPoint
 
 
 # ------------------------------------------------------------ ContentionPoint
@@ -133,34 +131,3 @@ def test_multi_server_next_free_is_earliest():
 def test_invalid_server_count():
     with pytest.raises(ValueError):
         ContentionPoint(servers=0)
-
-
-# ------------------------------------------------------------ Resource
-
-def test_resource_blocks_beyond_capacity():
-    engine = Engine()
-    res = Resource(engine, servers=1)
-    log = []
-
-    def worker(tag):
-        yield res.acquire()
-        log.append(("in", tag, engine.now))
-        yield 10
-        res.release()
-
-    Process(engine, worker("a"))
-    Process(engine, worker("b"))
-    engine.run()
-    times = [t for (_e, _tag, t) in log]
-    assert times == [0, 10]
-
-
-def test_resource_counts_acquisitions():
-    engine = Engine()
-    res = Resource(engine, servers=2)
-    res.acquire()
-    res.acquire()
-    assert res.total_acquisitions == 2
-    assert res.available == 0
-    res.release()
-    assert res.available == 1

@@ -1,10 +1,8 @@
-"""Unit tests for EventFlag, Barrier and Semaphore."""
-
-import pytest
+"""Unit tests for EventFlag."""
 
 from repro.sim.engine import Engine
 from repro.sim.process import Process
-from repro.sim.sync import Barrier, EventFlag, Semaphore
+from repro.sim.sync import EventFlag
 
 
 # ---------------------------------------------------------------- EventFlag
@@ -56,141 +54,3 @@ def test_flag_set_property():
     flag.fire(7)
     assert flag.is_set
     assert flag.value == 7
-
-
-# ---------------------------------------------------------------- Barrier
-
-def _barrier_party(barrier, log, tag, delay):
-    yield delay
-    gen = yield barrier.arrive()
-    log.append((tag, gen))
-
-
-def test_barrier_releases_when_all_arrive():
-    engine = Engine()
-    barrier = Barrier(engine, parties=3)
-    log = []
-    for tag, delay in (("a", 5), ("b", 10), ("c", 15)):
-        Process(engine, _barrier_party(barrier, log, tag, delay))
-    engine.run()
-    assert sorted(log) == [("a", 0), ("b", 0), ("c", 0)]
-    assert engine.now >= 15
-
-
-def test_barrier_is_reusable_across_generations():
-    engine = Engine()
-    barrier = Barrier(engine, parties=2)
-    log = []
-
-    def party(tag):
-        for _ in range(3):
-            yield 1
-            gen = yield barrier.arrive()
-            log.append((tag, gen))
-
-    Process(engine, party("x"))
-    Process(engine, party("y"))
-    engine.run()
-    generations = [g for _tag, g in log]
-    assert sorted(set(generations)) == [0, 1, 2]
-
-
-def test_barrier_single_party_releases_immediately():
-    engine = Engine()
-    barrier = Barrier(engine, parties=1)
-    log = []
-
-    def party():
-        yield barrier.arrive()
-        log.append(engine.now)
-
-    Process(engine, party())
-    engine.run()
-    assert log == [0]
-
-
-def test_barrier_set_parties_releases_waiters():
-    engine = Engine()
-    barrier = Barrier(engine, parties=3)
-    log = []
-    Process(engine, _barrier_party(barrier, log, "a", 1))
-    Process(engine, _barrier_party(barrier, log, "b", 2))
-    # third party "fails"; shrinking the barrier releases the other two
-    engine.schedule(10, lambda: barrier.set_parties(2))
-    engine.run()
-    assert len(log) == 2
-
-
-def test_barrier_invalid_parties():
-    engine = Engine()
-    with pytest.raises(ValueError):
-        Barrier(engine, parties=0)
-    barrier = Barrier(engine, parties=2)
-    with pytest.raises(ValueError):
-        barrier.set_parties(0)
-
-
-def test_barrier_waiting_count():
-    engine = Engine()
-    barrier = Barrier(engine, parties=2)
-    assert barrier.waiting == 0
-    barrier.arrive()
-    assert barrier.waiting == 1
-    barrier.arrive()
-    assert barrier.waiting == 0  # released and re-armed
-
-
-# ---------------------------------------------------------------- Semaphore
-
-def test_semaphore_grants_up_to_tokens():
-    engine = Engine()
-    sem = Semaphore(engine, tokens=2)
-    order = []
-
-    def worker(tag):
-        yield sem.acquire()
-        order.append(("got", tag, engine.now))
-        yield 10
-        sem.release()
-
-    for t in range(3):
-        Process(engine, worker(t))
-    engine.run()
-    t_granted = [t for (_e, _tag, t) in order]
-    assert t_granted[0] == 0 and t_granted[1] == 0
-    assert t_granted[2] == 10
-
-
-def test_semaphore_fifo_queueing():
-    engine = Engine()
-    sem = Semaphore(engine, tokens=1)
-    order = []
-
-    def worker(tag, start):
-        yield start
-        yield sem.acquire()
-        order.append(tag)
-        yield 5
-        sem.release()
-
-    Process(engine, worker("first", 0))
-    Process(engine, worker("second", 1))
-    Process(engine, worker("third", 2))
-    engine.run()
-    assert order == ["first", "second", "third"]
-
-
-def test_semaphore_available():
-    engine = Engine()
-    sem = Semaphore(engine, tokens=3)
-    assert sem.available == 3
-    sem.acquire()
-    assert sem.available == 2
-    sem.release()
-    assert sem.available == 3
-
-
-def test_semaphore_negative_tokens_rejected():
-    engine = Engine()
-    with pytest.raises(ValueError):
-        Semaphore(engine, tokens=-1)

@@ -12,7 +12,8 @@ from repro.machine import Machine
 from repro.stats.export import load_rows_csv, rows_to_csv, rows_to_json
 from repro.workloads.base import Reference
 from repro.workloads.synthetic import PrivateOnly
-from repro.workloads.tracefile import export_workload, load_trace, save_trace
+from repro.workloads.tracefile import load_stream_trace, write_stream_trace
+from repro.workloads.traces import TraceWorkload
 
 
 # ------------------------------------------------------------ trace files
@@ -20,42 +21,29 @@ from repro.workloads.tracefile import export_workload, load_trace, save_trace
 def test_trace_roundtrip(tmp_path):
     traces = [
         [Reference(2, False, 0), Reference(3, True, 128)],
-        [Reference(1, False, 256)],
+        [Reference(1, False, 256), Reference(4, False, 384)],
     ]
-    path = tmp_path / "trace.json"
-    save_trace(traces, path, shared_base=256)
-    wl = load_trace(path)
+    path = tmp_path / "trace.gz"
+    write_stream_trace(TraceWorkload(traces, shared_base=256), path)
+    wl = load_stream_trace(path)
     assert wl.n_procs == 2
     assert wl.ref_at(0, 1) == Reference(3, True, 128)
     assert wl.shared_base == 256
     assert wl.is_shared_addr(256)
     assert not wl.is_shared_addr(0)
+    wl.close()
 
 
 def test_export_workload(tmp_path):
     src = PrivateOnly(2, refs_per_proc=20)
-    path = tmp_path / "wl.json"
-    export_workload(src, path, max_refs_per_proc=10)
-    replay = load_trace(path)
+    path = tmp_path / "wl.gz"
+    assert write_stream_trace(src, path, max_refs_per_proc=10) == 10
+    replay = load_stream_trace(path)
+    assert replay.refs_per_proc() == 10
     for proc in range(2):
         for i in range(10):
             assert replay.ref_at(proc, i) == src.ref_at(proc, i)
-
-
-def test_load_rejects_unknown_version(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 99, "traces": []}))
-    with pytest.raises(ValueError):
-        load_trace(path)
-
-
-def test_loaded_trace_runs_on_machine(tmp_path):
-    src = PrivateOnly(4, refs_per_proc=200)
-    path = tmp_path / "wl.json"
-    export_workload(src, path)
-    wl = load_trace(path)
-    result = Machine(small_config(4), wl, protocol="standard").run()
-    assert result.stats.refs == 800
+    replay.close()
 
 
 # ------------------------------------------------------------ CSV / JSON export

@@ -168,6 +168,19 @@ def test_trace_roundtrip():
             assert replay.ref_at(p, i) == wl.ref_at(p, i)
 
 
+def test_trace_record_truncates_and_keeps_shared_base():
+    wl = PrivateOnly(2, refs_per_proc=20)
+    traces = record_trace(wl, max_refs_per_proc=10)
+    assert [len(t) for t in traces] == [10, 10]
+    replay = TraceWorkload(traces, shared_base=256)
+    assert replay.n_procs == 2
+    assert replay.refs_per_proc() == 10
+    assert replay.ref_at(1, 9) == wl.ref_at(1, 9)
+    assert replay.shared_base == 256
+    assert replay.is_shared_addr(256)
+    assert not replay.is_shared_addr(0)
+
+
 def test_trace_from_ops():
     wl = TraceWorkload.from_ops([[("r", 0), ("w", 128)]])
     assert wl.ref_at(0, 0) == Reference(think=2, is_write=False, addr=0)
