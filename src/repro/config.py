@@ -281,6 +281,12 @@ class TransportConfig:
             raise ValueError("abandon_attempts must be >= suspicion_threshold")
         if self.outage_cycles < 0 or self.reorder_max_delay < 0:
             raise ValueError("outage_cycles/reorder_max_delay must be >= 0")
+        if self.reorder_rate > 0.0 and self.reorder_max_delay < 1:
+            # a reordered packet's delay is drawn from [1, max_delay]
+            raise ValueError(
+                "reorder_max_delay must be >= 1 when reorder_rate > 0, "
+                f"got {self.reorder_max_delay}"
+            )
 
 
 @dataclass(frozen=True)

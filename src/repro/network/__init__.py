@@ -12,7 +12,6 @@ from repro.network.ring import LogicalRing
 from repro.network.message import Message, MessageKind
 from repro.network.transport import (
     DeliveryFate,
-    FaultyFabric,
     LinkFaultModel,
     ReliableTransport,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Message",
     "MessageKind",
     "DeliveryFate",
-    "FaultyFabric",
     "LinkFaultModel",
     "ReliableTransport",
 ]

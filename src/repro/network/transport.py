@@ -10,12 +10,10 @@ checkpoint protocols can be exercised over lossy links:
     A seeded per-transfer fault source: packets are dropped, duplicated
     or reordered with configured probabilities, and a (src, dst) path
     can suffer a transient outage during which every packet is lost.
-
-:class:`FaultyFabric`
-    Wraps a :class:`~repro.network.fabric.MeshFabric` and subjects each
-    transfer to the fault model.  A dropped packet still occupies the
-    links it traversed (it is discarded by the end-to-end check at the
-    destination NIC, as in any CRC-protected wormhole network).
+    Every packet occupies the links it traversed whatever its fate (a
+    dropped packet is discarded by the end-to-end check at the
+    destination NIC, as in any CRC-protected wormhole network; a
+    duplicate crosses the network twice).
 
 :class:`ReliableTransport`
     The delivery layer the protocols ride on.  It exposes the part of
@@ -71,6 +69,16 @@ class DeliveryFate(enum.Enum):
     DUPLICATED = "duplicated"
 
 
+#: The fates with no extra delay, shared so a draw allocates nothing.
+_DELIVERED = (DeliveryFate.DELIVERED, 0)
+_DROPPED = (DeliveryFate.DROPPED, 0)
+# enum members read per packet are module globals: an enum class
+# attribute read goes through the enum metaclass
+_DROPPED_FATE = DeliveryFate.DROPPED
+_DUPLICATED_FATE = DeliveryFate.DUPLICATED
+_ACK = MessageKind.TRANSPORT_ACK
+
+
 class LinkFaultModel:
     """Seeded fault source for individual packet transfers.
 
@@ -82,6 +90,12 @@ class LinkFaultModel:
     def __init__(self, cfg: TransportConfig, rng: random.Random | None = None):
         self.cfg = cfg
         self.rng = rng or random.Random(0)
+        # hot-path caches (``TransportConfig`` is frozen)
+        self._random = self.rng.random
+        self._outage_rate = cfg.outage_rate
+        self._loss_rate = cfg.loss_rate
+        self._reorder_rate = cfg.reorder_rate
+        self._dup_rate = cfg.dup_rate
         #: (src, dst) -> simulation time the current outage ends.
         self.outage_until: dict[tuple[int, int], int] = {}
         #: Scripted fates consumed before any random draw (test and
@@ -112,70 +126,37 @@ class LinkFaultModel:
             elif fate is DeliveryFate.DUPLICATED:
                 self.dups_injected += 1
             return fate, 0
-        cfg = self.cfg
-        path = (src, dst)
-        until = self.outage_until.get(path)
-        if until is not None:
-            if at < until:
-                self.drops_injected += 1
-                return DeliveryFate.DROPPED, 0
-            del self.outage_until[path]
-        if cfg.outage_rate and self.rng.random() < cfg.outage_rate:
-            self.outage_until[path] = at + cfg.outage_cycles
+        if self.outage_until:
+            path = (src, dst)
+            until = self.outage_until.get(path)
+            if until is not None:
+                if at < until:
+                    self.drops_injected += 1
+                    return _DROPPED
+                del self.outage_until[path]
+        rand = self._random
+        if self._outage_rate and rand() < self._outage_rate:
+            self.outage_until[src, dst] = at + self.cfg.outage_cycles
             self.outages_started += 1
             self.drops_injected += 1
-            return DeliveryFate.DROPPED, 0
-        if cfg.loss_rate and self.rng.random() < cfg.loss_rate:
+            return _DROPPED
+        if self._loss_rate and rand() < self._loss_rate:
             self.drops_injected += 1
-            return DeliveryFate.DROPPED, 0
+            return _DROPPED
         delay = 0
-        if cfg.reorder_rate and self.rng.random() < cfg.reorder_rate:
-            delay = self.rng.randrange(1, cfg.reorder_max_delay + 1)
+        if self._reorder_rate and rand() < self._reorder_rate:
+            delay = self.rng.randrange(1, self.cfg.reorder_max_delay + 1)
             self.reorders_injected += 1
-        if cfg.dup_rate and self.rng.random() < cfg.dup_rate:
+        if self._dup_rate and rand() < self._dup_rate:
             self.dups_injected += 1
             return DeliveryFate.DUPLICATED, delay
-        return DeliveryFate.DELIVERED, delay
-
-
-class FaultyFabric:
-    """A ``MeshFabric`` whose transfers are subject to link faults."""
-
-    def __init__(self, fabric: MeshFabric, faults: LinkFaultModel):
-        self.raw = fabric
-        self.faults = faults
-
-    def attempt(
-        self,
-        src: int,
-        dst: int,
-        flits: int,
-        subnet: Subnet,
-        depart: int,
-        kind: MessageKind | None = None,
-        item: int | None = None,
-        data_bytes: int = 0,
-    ) -> tuple[DeliveryFate, int | None]:
-        """One physical send attempt; returns (fate, arrival or None).
-
-        The packet occupies its links whatever the fate (a dropped
-        packet is discarded by the destination's end-to-end check, a
-        duplicated packet crosses the network twice).
-        """
-        arrival = self.raw.transfer(src, dst, flits, subnet, depart, kind, item, data_bytes)
-        fate, delay = self.faults.draw(src, dst, depart)
-        if fate is DeliveryFate.DROPPED:
-            return fate, None
-        if fate is DeliveryFate.DUPLICATED:
-            # the duplicate consumes bandwidth too
-            self.raw.transfer(src, dst, flits, subnet, depart, kind, item)
-        return fate, arrival + delay
+        return (DeliveryFate.DELIVERED, delay) if delay else _DELIVERED
 
 
 @dataclass(slots=True)
 class OutstandingEntry:
-    """Sender-side state of one un-acked logical message (the per-
-    destination retry queue surfaced by the stall-watchdog dump)."""
+    """Sender-side state of one abandoned logical message, as the
+    stall-watchdog dump surfaces it."""
 
     src: int
     dst: int
@@ -183,7 +164,7 @@ class OutstandingEntry:
     kind: MessageKind | None
     item: int | None
     attempts: int = 0
-    #: Simulation time the current attempt's retransmission timeout expires.
+    #: Simulation time the last attempt's retransmission timeout expires.
     backoff_deadline: int = 0
     abandoned: bool = False
 
@@ -234,7 +215,6 @@ class ReliableTransport:
         self.cfg = cfg or TransportConfig()
         self.raw = fabric
         self.faults = LinkFaultModel(self.cfg, rng)
-        self.faulty = FaultyFabric(fabric, self.faults)
         self.stats = stats if stats is not None else MachineStats()
         # hot-path caches: the fault-model "active" property inlined
         # (``_forced`` aliases the model's deque, mutated in place only)
@@ -244,12 +224,10 @@ class ReliableTransport:
         self._control_flits = fabric.latency.control_flits
         #: (src, dst) -> next sequence number to assign.
         self.next_seq: dict[tuple[int, int], int] = {}
-        #: (src, dst) -> highest sequence number whose effect was
-        #: delivered (receiver-side duplicate suppression).
-        self.delivered_seq: dict[tuple[int, int], int] = {}
         #: dst -> consecutive timeouts since the last successful ack.
         self.consecutive_timeouts: dict[int, int] = {}
-        #: In-flight (or abandoned) messages, keyed by (src, dst).
+        #: Abandoned messages, keyed by (src, dst); a later message of
+        #: the pair that is acked retires its entry.
         self.outstanding: dict[tuple[int, int], OutstandingEntry] = {}
         #: Called with the destination node id when a destination
         #: crosses the suspicion threshold (Machine wires this to the
@@ -302,70 +280,70 @@ class ReliableTransport:
     ) -> int:
         cfg = self.cfg
         stats = self.stats
+        raw = self._raw_transfer
+        draw = self.faults.draw
         pair = (src, dst)
         seq = self.next_seq.get(pair, 0)
         self.next_seq[pair] = seq + 1
-        entry = OutstandingEntry(src=src, dst=dst, seq=seq, kind=kind, item=item)
-        self.outstanding[pair] = entry
         ack_subnet = Subnet.REPLY if subnet is Subnet.REQUEST else Subnet.REQUEST
+        ack_flits = self._control_flits
 
         send_time = depart
         timeout = cfg.timeout_cycles
+        # the call is synchronous, so no other message of the pair can
+        # interleave: every arrival after the first is a retransmission
+        # the receiver's sequence check suppresses
         first_arrival: int | None = None
+        attempts = 0
 
         while True:
-            entry.attempts += 1
-            entry.backoff_deadline = send_time + timeout
-            if entry.attempts > cfg.abandon_attempts:
-                entry.abandoned = True
+            attempts += 1
+            if attempts > cfg.abandon_attempts:
+                self.outstanding[pair] = OutstandingEntry(
+                    src=src, dst=dst, seq=seq, kind=kind, item=item,
+                    attempts=attempts, backoff_deadline=send_time + timeout,
+                    abandoned=True,
+                )
                 self._suspect(dst)
                 from repro.coherence.standard import NodeUnavailable
 
                 raise NodeUnavailable(dst, item if item is not None else -1)
-            if entry.attempts > 1:
+            if attempts > 1:
                 stats.transport_retries += 1
                 stats.transport_retransmitted_flits += flits
-            fate, arrival = self.faulty.attempt(
-                src, dst, flits, subnet, send_time,
-                kind=kind, item=item,
-                data_bytes=data_bytes if entry.attempts == 1 else 0,
-            )
-            if arrival is not None:
-                if self.delivered_seq.get(pair, -1) >= seq:
-                    # a retransmission of an already-applied message:
-                    # the receiver's sequence check suppresses it
-                    stats.transport_duplicates_suppressed += 1
-                else:
-                    self.delivered_seq[pair] = seq
+            arrival = raw(src, dst, flits, subnet, send_time, kind, item, data_bytes)
+            data_bytes = 0  # only the first copy counts as payload
+            fate, delay = draw(src, dst, send_time)
+            if fate is not _DROPPED_FATE:
+                arrival += delay
+                if first_arrival is None:
                     first_arrival = arrival
-                if fate is DeliveryFate.DUPLICATED:
-                    # the in-flight duplicate arrives with the same
-                    # sequence number and is suppressed too
+                else:
                     stats.transport_duplicates_suppressed += 1
-                if self._send_ack(dst, src, ack_subnet, arrival, item):
+                if fate is _DUPLICATED_FATE:
+                    # the duplicate consumes bandwidth too, arrives with
+                    # the same sequence number and is suppressed
+                    raw(src, dst, flits, subnet, send_time, kind, item)
+                    stats.transport_duplicates_suppressed += 1
+                # the receiver's positive ack
+                stats.transport_acks += 1
+                raw(dst, src, ack_flits, ack_subnet, arrival, _ACK, item)
+                fate, _ = draw(dst, src, arrival)
+                if fate is not _DROPPED_FATE:
+                    if fate is _DUPLICATED_FATE:
+                        # a duplicated ack is harmless; the sender
+                        # ignores the copy
+                        raw(dst, src, ack_flits, ack_subnet, arrival, _ACK, item)
+                        stats.transport_duplicates_suppressed += 1
                     self.consecutive_timeouts[dst] = 0
-                    del self.outstanding[pair]
-                    assert first_arrival is not None
+                    if self.outstanding:
+                        self.outstanding.pop(pair, None)
                     return first_arrival
             # message or ack lost: the retransmission timeout expires
             stats.transport_timeouts += 1
             self._note_timeout(dst)
-            send_time = send_time + timeout
+            send_time += timeout
             timeout = self._next_timeout(timeout)
-
-    def _send_ack(
-        self, src: int, dst: int, subnet: Subnet, depart: int, item: int | None
-    ) -> bool:
-        """The receiver's positive ack; returns True when it arrives."""
-        self.stats.transport_acks += 1
-        fate, arrival = self.faulty.attempt(
-            src, dst, self._control_flits, subnet, depart,
-            kind=MessageKind.TRANSPORT_ACK, item=item,
-        )
-        if fate is DeliveryFate.DUPLICATED:
-            # a duplicated ack is harmless; the sender ignores the copy
-            self.stats.transport_duplicates_suppressed += 1
-        return arrival is not None
 
     def _next_timeout(self, timeout: int) -> int:
         grown = min(int(timeout * self.cfg.backoff_factor), self.cfg.max_backoff_cycles)

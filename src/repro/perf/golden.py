@@ -7,8 +7,9 @@ fabric fast-forward, memoized protocol lookups — must keep results
 that contract with golden digests:
 
 - :data:`GOLDEN_CELLS` names small reference runs (a fault-free 9-node
-  water cell and the same cell on a 1%-loss interconnect, where the
-  fabric fast-forward must coexist with retransmission accounting);
+  water cell, the same cell on a 1%-loss interconnect, where the fabric
+  fast-forward must coexist with retransmission accounting, and on one
+  where every link fault is live);
 - :func:`result_digest` reduces a run result to a sha256 over the
   canonical JSON of its comparable dict;
 - the digests live in ``tests/perf/golden/`` and are asserted by
@@ -49,6 +50,9 @@ class GoldenCell:
     protocol: str = "ecp"
     checkpoint_frequency_hz: float = 100.0
     loss_rate: float = 0.0
+    dup_rate: float = 0.0
+    reorder_rate: float = 0.0
+    outage_rate: float = 0.0
 
     def build(self, backend: str | None = None) -> Machine:
         """Construct the cell's machine, optionally pinning a kernel
@@ -59,8 +63,10 @@ class GoldenCell:
             cfg = cfg.with_ft(
                 checkpoint_frequency_hz=self.checkpoint_frequency_hz
             )
-        if self.loss_rate:
-            cfg = cfg.with_transport(loss_rate=self.loss_rate)
+        cfg = cfg.with_transport(
+            loss_rate=self.loss_rate, dup_rate=self.dup_rate,
+            reorder_rate=self.reorder_rate, outage_rate=self.outage_rate,
+        )
         if self.app == "trace":
             # replayed-trace cell: record the water streams in memory
             # and replay them through TraceWorkload, pinning the trace
@@ -94,6 +100,13 @@ class GoldenCell:
 GOLDEN_CELLS = (
     GoldenCell(name="water9_faultfree"),
     GoldenCell(name="water9_loss1pct", loss_rate=0.01),
+    # the whole link-fault mix: duplicates, reordering and outages take
+    # transport branches (suppression, delayed arrival, path-wide drops)
+    # that loss alone never reaches
+    GoldenCell(
+        name="water9_faultmix", loss_rate=0.01, dup_rate=0.01,
+        reorder_rate=0.01, outage_rate=0.001,
+    ),
     # datacenter traffic: a skewed KV stream pins the hot-key coherence
     # pattern (and the Zipf sampler's bit-exactness) the same way
     GoldenCell(name="zipf9_faultfree", app="zipf"),

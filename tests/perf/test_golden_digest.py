@@ -1,8 +1,8 @@
 """Golden-digest determinism gate for the optimized simulation kernel.
 
 The committed digests under ``tests/perf/golden/`` were captured on the
-*pre-optimization* kernel.  Every cell — including the nonzero-loss one,
-which exercises the transport retry path and its cancellable timers —
+*pre-optimization* kernel.  Every cell — including the lossy ones,
+which exercise the transport's retry loop under every link fault —
 must keep producing the byte-identical comparable result: the perf work
 is only admissible because it is invisible to results.
 
@@ -33,10 +33,16 @@ def test_golden_digest_matches_committed(cell, backend):
 
 def test_golden_cells_cover_fault_free_and_lossy():
     """The gate must cover both kernels-of-interest: the pure fast path
-    and the retry/timer machinery under packet loss."""
+    and the retry machinery under packet loss, with one cell where every
+    link fault (loss, duplication, reordering, outage) is live."""
     losses = sorted(cell.loss_rate for cell in GOLDEN_CELLS)
     assert losses[0] == 0.0
     assert losses[-1] > 0.0
+    assert any(
+        cell.loss_rate and cell.dup_rate and cell.reorder_rate
+        and cell.outage_rate
+        for cell in GOLDEN_CELLS
+    )
 
 
 def test_digest_is_insensitive_to_wall_clock():

@@ -105,6 +105,17 @@ def test_invalid_configs_rejected():
         ArchConfig(cache=CacheConfig(sector_bytes=100))
 
 
+def test_reordering_needs_a_positive_max_delay():
+    """A reordered packet's delay is drawn from [1, reorder_max_delay]:
+    a zero ceiling must fail at configuration time, naming the field,
+    not as an empty ``randrange`` on the first reordered packet."""
+    with pytest.raises(ValueError, match="reorder_max_delay"):
+        ArchConfig().with_transport(reorder_rate=0.05, reorder_max_delay=0)
+    # without reordering the ceiling is never drawn from
+    ArchConfig().with_transport(reorder_max_delay=0)
+    ArchConfig().with_transport(reorder_rate=0.05, reorder_max_delay=1)
+
+
 def test_paper_sweep_constants():
     assert PAPER_FREQUENCIES_HZ == (400.0, 100.0, 20.0, 5.0)
     assert PAPER_NODE_COUNTS == (9, 16, 30, 42, 56)
