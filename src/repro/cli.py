@@ -178,8 +178,8 @@ def _run_sweep_harness(sweep, args: argparse.Namespace):
     return report
 
 
-#: CLI choices for --backend ("auto" negotiates compiled > vector > python).
-BACKEND_CHOICES = ("auto", "python", "vector", "compiled")
+#: CLI choices for --backend ("auto" negotiates compiled > python).
+BACKEND_CHOICES = ("auto", "python", "compiled")
 
 
 def _add_engine_args(parser: argparse.ArgumentParser, backend: bool = True) -> None:

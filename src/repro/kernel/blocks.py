@@ -1,10 +1,10 @@
 """Block-cached reference generation.
 
 The interpreter computes one :class:`~repro.workloads.base.Reference`
-per call to ``ref_at``; the accelerated backends instead materialise a
-whole *block* of consecutive references at once (vectorized with numpy
-where a generator exists, plain loops otherwise) and serve individual
-lookups from the cached block.
+per call to ``ref_at``; the compiled backend instead materialises a
+whole *block* of consecutive references at once (in a C loop where the
+family has a generator, the scalar ``ref_at`` in a loop otherwise) and
+serves individual lookups from the cached block.
 
 Blocks are stored as three parallel lists (``think``, ``is_write``,
 ``addr``) rather than as Reference tuples: the compiled drain loop
@@ -28,9 +28,10 @@ from repro.workloads.base import Reference, ReferenceStream, Workload
 
 _tuple_new = tuple.__new__
 
-#: References materialised per block.  Large enough to amortise numpy
-#: call overhead, small enough that a rollback re-generating one block
-#: is negligible (a block regenerates in tens of microseconds).
+#: References materialised per block.  Large enough to amortise the
+#: per-call overhead of a generator, small enough that a rollback
+#: re-generating one block is negligible (a C block regenerates in
+#: about 0.2 ms).
 BLOCK_LEN = 4096
 
 #: A block generator: ``gen(proc, base, count)`` producing the column
@@ -65,11 +66,11 @@ class BlockRefAt:
     def _load(self, proc: int, index: int) -> None:
         base = index - index % BLOCK_LEN
         count = min(BLOCK_LEN, self._n_refs - base)
-        if count < 1:
-            # out-of-range index (never produced by the stream walk, but
-            # ref_at is a public pure function): fall back to a single-
-            # element block so behaviour matches the scalar call
-            count = 1
+        if index >= base + count:
+            # past the stream end (never produced by the stream walk, but
+            # ref_at is a public pure function): a single-element block
+            # at the index itself, so behaviour matches the scalar call
+            base, count = index, 1
         self._think, self._is_write, self._addr = self._gen(proc, base, count)
         self._proc = proc
         self._base = base
@@ -92,8 +93,9 @@ class BlockRefAt:
 
 def scalar_block_generator(workload: Workload) -> BlockGenerator:
     """Fallback generator: the workload's own scalar ``ref_at`` in a
-    loop.  Used for families without a vectorized generator so the
-    compiled drain still gets materialised blocks to walk."""
+    loop.  Used for families without a C generator (synthetic and
+    trace workloads) so the compiled drain still gets materialised
+    blocks to walk."""
     ref_at = workload.ref_at
 
     def gen(proc: int, base: int, count: int) -> tuple:

@@ -11,8 +11,7 @@ directly (``$CC`` or ``cc``) against the running interpreter's
 headers, so it works anywhere with a compiler and Python dev headers —
 no setuptools, Cython or mypyc required.  When the build fails or the
 artefact is missing, the ``compiled`` backend simply reports itself
-unavailable and everything runs on the pure-Python (or vector)
-backend.
+unavailable and everything runs on the pure-Python backend.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ def main(argv: list[str] | None = None) -> int:
         out = build()
     except (FileNotFoundError, subprocess.CalledProcessError) as exc:
         print(f"build failed: {exc}", file=sys.stderr)
-        print("the compiled backend stays unavailable; the python and "
-              "vector backends are unaffected", file=sys.stderr)
+        print("the compiled backend stays unavailable; the python "
+              "backend is unaffected", file=sys.stderr)
         return 1
     print(f"built {out}")
     return 0

@@ -86,7 +86,7 @@ class Processor:
         proto_write = protocol.write
         next_ref = self._next_ref
         # compiled-backend hit drain (repro.kernel.compiled); None on
-        # the python and vector backends
+        # the python backend
         drain = machine.kernel_drain
 
         while True:

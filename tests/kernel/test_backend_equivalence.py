@@ -67,6 +67,22 @@ def test_write_heavy_zipf_equivalent():
     assert _compare(build)["stats"]["n_checkpoints"] == 1
 
 
+@pytest.mark.parametrize("app", ("barnes", "mp3d"))
+def test_shared_addr_callback_equivalent(app):
+    """Barnes and Mp3d generate their shared references by calling back
+    into the workload's ``_shared_addr`` from the C block loop; Mp3d's
+    are the suite's most frequent shared writes."""
+
+    def build(backend):
+        cfg = ArchConfig(n_nodes=9, seed=2026).with_ft(
+            checkpoint_frequency_hz=400.0
+        )
+        wl = make_workload(app, n_procs=9, scale=0.002, seed=2026)
+        return Machine(cfg, wl, protocol="ecp", backend=backend)
+
+    assert _compare(build)["stats"]["n_checkpoints"] == 1
+
+
 def test_lossy_transport_equivalent():
     _compare(lambda backend: _water_machine(9, backend, loss_rate=0.01))
 

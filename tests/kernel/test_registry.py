@@ -38,7 +38,7 @@ def test_unknown_backend_name_rejected():
 
 def test_negotiation_prefers_fastest_available():
     """auto must resolve to the first available name in registry order
-    (compiled > vector > python)."""
+    (compiled > python)."""
     best = negotiate()
     assert best.name == available_backends()[0]
     assert [n for n in BACKEND_NAMES if n in available_backends()] == list(
@@ -65,24 +65,24 @@ def test_resolve_backend_follows_default_and_auto():
 def test_unavailable_backend_raises_with_hint(monkeypatch):
     """An explicitly requested unavailable backend must fail loudly,
     carrying an actionable install hint (what the CLI prints)."""
-    err = BackendUnavailable("vector", "numpy is not installed",
-                            "install the vector extra: pip install 'repro[vector]'")
+    err = BackendUnavailable("compiled", "the _hotloops extension is not built",
+                             "build it with: python -m repro.kernel.build_ext")
 
     class Stub(KernelBackend):
-        name = "vector"
+        name = "compiled"
 
         @classmethod
         def availability_error(cls):
             return err
 
     monkeypatch.setattr(kernel, "_backend_class",
-                        lambda name: Stub if name == "vector"
+                        lambda name: Stub if name == "compiled"
                         else kernel.PythonBackend)
     with pytest.raises(BackendUnavailable) as exc_info:
-        get_backend("vector")
-    assert exc_info.value.hint.startswith("install the vector extra")
+        get_backend("compiled")
+    assert exc_info.value.hint.startswith("build it with")
     with pytest.raises(BackendUnavailable):
-        set_default_backend("vector")
+        set_default_backend("compiled")
     # negotiation and auto must silently skip it, never raise
     assert negotiate().name == "python"
     assert set_default_backend("auto") == "python"
