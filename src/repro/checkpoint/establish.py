@@ -33,12 +33,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.coherence.ecp import ExtendedProtocol
     from repro.sim.engine import Engine
 
+_MASTER_SHARED = ItemState.MASTER_SHARED
+_PRE_COMMIT2 = ItemState.PRE_COMMIT2
+_CREATE_REPLICATION = InjectionCause.CREATE_REPLICATION
+
 
 class EstablishmentFailed(RuntimeError):
     """The create phase could not place a Pre-Commit copy (e.g. fewer
     than four live memories can hold the four copies a modified item
     needs during establishment).  The previous recovery point is still
     intact; the coordinator aborts and reverts the Pre-Commit copies."""
+
+
+def flush_dirty_lines(
+    node, engine: "Engine", writeback_lat: int
+) -> Generator[int, None, None]:
+    """Flush ``node``'s modified cache lines into its AM, charging
+    ``writeback_lat`` per line to its memory controller.
+
+    Every create phase starts with this.  The data stays cached (CLEAN)
+    and readable — the reason read miss rates barely move (Section
+    4.2.3)."""
+    flushed = node.cache.flush_all_dirty()
+    if flushed:
+        done = node.mem_ctrl.occupy(engine.now, writeback_lat * len(flushed))
+        yield done - engine.now
 
 
 def node_create_phase(
@@ -55,51 +74,35 @@ def node_create_phase(
     phase stops — the previous recovery point is still intact and the
     recovery scan will discard the partial ``Pre-Commit`` copies.
     """
-    node = protocol.nodes[node_id]
-    lat = protocol.cfg.latency
-    item_bytes = protocol.cfg.item_bytes
+    nodes = protocol.nodes
+    node = nodes[node_id]
+    cfg = protocol.cfg
+    yield from flush_dirty_lines(node, engine, cfg.latency.cache_writeback_line)
+
+    # the loop runs once per modified item on every node at every
+    # establishment: hoist the attribute chains it would otherwise chase
+    item_bytes = cfg.item_bytes
+    reuse_replicas = cfg.ft.reuse_shared_replicas
     stats = node.stats
-
-    # Flush modified cache lines into the AM.  The data stays cached
-    # (CLEAN) and readable — the reason read miss rates barely move
-    # (Section 4.2.3).
-    flushed = node.cache.flush_all_dirty()
-    if flushed:
-        done = node.mem_ctrl.occupy(
-            engine.now, lat.cache_writeback_line * len(flushed)
-        )
-        yield done - engine.now
-
+    state_of = node.am.state
+    entry_of = protocol.directory.entry
+    injector = protocol.injector
     for item in sorted(node.am.owned_items()):
         if should_abort is not None and should_abort():
             return
-        state = node.am.state(item)
-        entry = protocol.directory.entry(node_id, item)
-        done = engine.now
-        reused = False
-        if (
-            state is ItemState.MASTER_SHARED
-            and protocol.cfg.ft.reuse_shared_replicas
-        ):
-            live_sharers = [
-                s for s in sorted(entry.sharers) if protocol.nodes[s].alive
-            ]
-            if live_sharers:
-                protocol.mark_precommit_local(node_id, item)
-                done = protocol.mark_precommit_replica(
-                    node_id, item, live_sharers[0], engine.now
-                )
-                stats.ckpt_items_reused += 1
-                reused = True
-        if not reused:
-            protocol.mark_precommit_local(node_id, item)
+        now = engine.now
+        entry = entry_of(node_id, item)
+        replica = None
+        if reuse_replicas and state_of(item) is _MASTER_SHARED:
+            replica = min((s for s in entry.sharers if nodes[s].alive), default=None)
+        protocol.mark_precommit_local(node_id, item)
+        if replica is not None:
+            done = protocol.mark_precommit_replica(node_id, item, replica, now)
+            stats.ckpt_items_reused += 1
+        else:
             try:
-                result = protocol.injector.inject(
-                    node_id,
-                    item,
-                    ItemState.PRE_COMMIT2,
-                    engine.now,
-                    InjectionCause.CREATE_REPLICATION,
+                result = injector.inject(
+                    node_id, item, _PRE_COMMIT2, now, _CREATE_REPLICATION,
                     drop_local=False,
                 )
             except InjectionFailed as exc:
@@ -110,19 +113,16 @@ def node_create_phase(
             done = result.data_sent
             stats.ckpt_items_replicated += 1
         stats.ckpt_bytes_replicated += item_bytes
-        if done > engine.now:
-            yield done - engine.now
+        if done > now:
+            yield done - now
 
 
 def commit_cost_cycles(protocol: "ExtendedProtocol", node_id: int) -> int:
     """Commit-phase scan time for one node (Section 4.2.2 cost model)."""
-    cfg = protocol.cfg
-    lat = cfg.latency
-    if cfg.ft.commit_counters:
+    if protocol.cfg.ft.commit_counters:
         # bump the node recovery-point counter; no scan
-        return lat.commit_page_test
-    pages = protocol.nodes[node_id].am.pages_resident
-    return lat.commit_page_test * pages + lat.commit_item_test * pages * cfg.items_per_page
+        return protocol.cfg.latency.commit_page_test
+    return scan_cost_cycles(protocol, node_id)
 
 
 def scan_cost_cycles(protocol: "ExtendedProtocol", node_id: int) -> int:

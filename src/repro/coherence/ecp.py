@@ -35,18 +35,24 @@ from __future__ import annotations
 
 from repro.coherence.directory import DirectoryEntry
 from repro.coherence.injection import InjectionCause
-from repro.coherence.standard import ProtocolError, StandardProtocol
+from repro.coherence.standard import (
+    _EXCLUSIVE, _INVALID, _MASTER_SHARED, _OWNER_CAPABLE, _REPLY, _REQUEST,
+    _SHARED_CK1, _SHARED_CK2, ProtocolError, StandardProtocol,
+)
 from repro.memory.states import ItemState
 from repro.network.message import MessageKind
 from repro.network.topology import Subnet
 
-#: Serving-copy states that answer a read or write miss: Shared-CK1
-#: serves like a Master-Shared copy (Section 4.1).
-_SERVING_ECP = frozenset(
-    {ItemState.EXCLUSIVE, ItemState.MASTER_SHARED, ItemState.SHARED_CK1}
-)
 _INV_CK = (ItemState.INV_CK1, ItemState.INV_CK2)
-_SHARED_CK = (ItemState.SHARED_CK1, ItemState.SHARED_CK2)
+_SHARED_CK = (_SHARED_CK1, _SHARED_CK2)
+# the establishment hooks run once per modified item at every recovery
+# point: a module global is cheaper to read than an enum class attribute
+_PRE_COMMIT1 = ItemState.PRE_COMMIT1
+_PRECOMMIT_MARK = MessageKind.PRECOMMIT_MARK
+_PRECOMMIT_ACK = MessageKind.PRECOMMIT_ACK
+_READ_INV_CK = InjectionCause.READ_INV_CK
+_WRITE_INV_CK = InjectionCause.WRITE_INV_CK
+_WRITE_SHARED_CK = InjectionCause.WRITE_SHARED_CK
 
 
 class ExtendedProtocol(StandardProtocol):
@@ -54,7 +60,9 @@ class ExtendedProtocol(StandardProtocol):
 
     name = "ecp"
 
-    _serving_states = _SERVING_ECP
+    #: Serving-copy states that answer a read or write miss: Shared-CK1
+    #: serves like a Master-Shared copy (Section 4.1).
+    _serving_states = _OWNER_CAPABLE
 
     # -- read path ------------------------------------------------------
 
@@ -62,10 +70,7 @@ class ExtendedProtocol(StandardProtocol):
         """Read access on a local Inv-CK copy: the copy must first be
         transferred to another node (Table 1, row 3)."""
         if state in _INV_CK:
-            result = self.injector.inject(
-                node_id, item, state, now, InjectionCause.READ_INV_CK
-            )
-            return result.complete
+            return self.injector.inject(node_id, item, state, now, _READ_INV_CK).complete
         return now
 
     # -- write path ------------------------------------------------------
@@ -74,16 +79,12 @@ class ExtendedProtocol(StandardProtocol):
         """Write access on a local recovery copy: inject it, then miss
         (Table 1, rows 4 and 5)."""
         if state in _INV_CK:
-            result = self.injector.inject(
-                node_id, item, state, now, InjectionCause.WRITE_INV_CK
-            )
-            return result.complete
-        if state in _SHARED_CK:
-            result = self.injector.inject(
-                node_id, item, state, now, InjectionCause.WRITE_SHARED_CK
-            )
-            return result.complete
-        return now
+            cause = _WRITE_INV_CK
+        elif state in _SHARED_CK:
+            cause = _WRITE_SHARED_CK
+        else:
+            return now
+        return self.injector.inject(node_id, item, state, now, cause).complete
 
     def _degrade_ck_pair(
         self,
@@ -144,16 +145,16 @@ class ExtendedProtocol(StandardProtocol):
 
         Idempotent: a copy already in Pre-Commit1 (a retried create-scan
         step after a lost ack) is left alone."""
-        node = self.nodes[node_id]
-        state = node.am.state(item)
-        if state is ItemState.PRE_COMMIT1:
+        am = self.nodes[node_id].am
+        state = am.state(item)
+        if state is _PRE_COMMIT1:
             return
-        if state not in (ItemState.EXCLUSIVE, ItemState.MASTER_SHARED):
+        if state is not _EXCLUSIVE and state is not _MASTER_SHARED:
             raise ProtocolError(
                 f"create phase visited item {item} on node {node_id} "
                 f"in state {state.name}"
             )
-        node.am.set_state(item, ItemState.PRE_COMMIT1)
+        am.set_state(item, _PRE_COMMIT1)
 
     def deliver_precommit_mark(self, target: int, item: int) -> bool:
         """Receiver-side PRECOMMIT_MARK handler: promote a Shared
@@ -177,18 +178,15 @@ class ExtendedProtocol(StandardProtocol):
         """Create phase, Master-Shared optimisation: promote an existing
         Shared replica to Pre-Commit2 with a control message instead of
         transferring the item (Section 3.3).  Returns the ack time."""
-        lat = self.cfg.latency
-        t = self.fabric.control(
-            node_id, target, Subnet.REQUEST, now, MessageKind.PRECOMMIT_MARK, item
-        )
-        t = self.nodes[target].mem_ctrl.occupy(t, lat.pointer_lookup)
+        transfer = self.fabric.transfer
+        control_flits = self._control_flits
+        t = transfer(node_id, target, control_flits, _REQUEST, now, _PRECOMMIT_MARK, item)
+        t = self.nodes[target].mem_ctrl.occupy(t, self._pointer_lookup_lat)
         self.deliver_precommit_mark(target, item)
         entry = self.directory.entry(node_id, item)
         entry.sharers.discard(target)
         entry.partner = target
-        return self.fabric.control(
-            target, node_id, Subnet.REPLY, t, MessageKind.PRECOMMIT_ACK, item
-        )
+        return transfer(target, node_id, control_flits, _REPLY, t, _PRECOMMIT_ACK, item)
 
     def commit_node(self, node_id: int) -> tuple[int, int]:
         """Commit phase, local to ``node_id`` (Fig. 2): Pre-Commit
@@ -198,22 +196,17 @@ class ExtendedProtocol(StandardProtocol):
         empty and returns ``(0, 0)``.
 
         Returns ``(promoted, discarded)`` item-copy counts."""
-        node = self.nodes[node_id]
-        promoted = 0
-        for item in node.am.items_in_group("pre_commit"):
-            state = node.am.state(item)
-            node.am.set_state(
-                item,
-                ItemState.SHARED_CK1
-                if state is ItemState.PRE_COMMIT1
-                else ItemState.SHARED_CK2,
+        am = self.nodes[node_id].am
+        state_of, set_state = am.state, am.set_state
+        promoted = am.items_in_group("pre_commit")
+        for item in promoted:
+            set_state(
+                item, _SHARED_CK1 if state_of(item) is _PRE_COMMIT1 else _SHARED_CK2
             )
-            promoted += 1
-        discarded = 0
-        for item in node.am.items_in_group("inv_ck"):
-            node.am.set_state(item, ItemState.INVALID)
-            discarded += 1
-        return promoted, discarded
+        discarded = am.items_in_group("inv_ck")
+        for item in discarded:
+            set_state(item, _INVALID)
+        return len(promoted), len(discarded)
 
     def abort_establishment_node(self, node_id: int) -> int:
         """Revert this node's Pre-Commit copies after an aborted create

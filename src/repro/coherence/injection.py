@@ -20,16 +20,27 @@ not replaced in the memory of the node performing the injection").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.memory.attraction_memory import InjectionSlot
-from repro.memory.states import ItemState
+from repro.memory.states import _REPLACEABLE, ItemState
 from repro.network.message import MessageKind
 from repro.network.topology import Subnet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.coherence.standard import StandardProtocol
+
+# every create-phase replication runs inject(): a module global is
+# cheaper to read than an enum class attribute
+_REQUEST = Subnet.REQUEST
+_REPLY = Subnet.REPLY
+_NO_SLOT = InjectionSlot.NONE
+_INVALID = ItemState.INVALID
+_SHARED = ItemState.SHARED
+_INJECT_PROBE = MessageKind.INJECT_PROBE
+_INJECT_ACCEPT = MessageKind.INJECT_ACCEPT
+_INJECT_DATA = MessageKind.INJECT_DATA
+_INJECT_ACK = MessageKind.INJECT_ACK
 
 
 class InjectionFailed(RuntimeError):
@@ -69,15 +80,9 @@ REPLACEMENT_CAUSES = frozenset(
         InjectionCause.REPLACEMENT_INV_CK,
     }
 )
-#: Causes that show up in the pollution metric (everything the ECP adds
-#: during normal computation, i.e. not checkpoint/reconfiguration work).
-POLLUTION_CAUSES = READ_ACCESS_CAUSES | WRITE_ACCESS_CAUSES | frozenset(
-    {InjectionCause.REPLACEMENT_SHARED_CK, InjectionCause.REPLACEMENT_INV_CK}
-)
 
 
-@dataclass(frozen=True)
-class InjectionResult:
+class InjectionResult(NamedTuple):
     """Outcome of one injection."""
 
     acceptor: int
@@ -96,6 +101,7 @@ class InjectionEngine:
 
     def __init__(self, protocol: "StandardProtocol"):
         self.protocol = protocol
+        self._inject_ack_lat = protocol.cfg.latency.inject_ack
 
     def inject(
         self,
@@ -112,31 +118,33 @@ class InjectionEngine:
         Returns the acceptor node and the completion time (arrival of
         the injection acknowledgement at ``src``).
         """
+        # one frame: the protocol's hoisted flit counts replace the
+        # fabric's control()/data() wrappers; transfer is looked up per
+        # call, as the transport's entry point may be wrapped
         p = self.protocol
-        lat = p.cfg.latency
-        item_bytes = p.cfg.item_bytes
+        nodes = p.nodes
+        transfer = p.fabric.transfer
+        control_flits = p._control_flits
+        lookup_lat = p._pointer_lookup_lat
         acceptor: int | None = None
         probe_hops = 0
         t = now
         cursor = src
         for candidate in p.ring.walk_from(src):
             # the probe is forwarded node-to-node along the ring
-            t = p.fabric.control(
-                cursor, candidate, Subnet.REQUEST, t, MessageKind.INJECT_PROBE, item
-            )
+            t = transfer(cursor, candidate, control_flits, _REQUEST, t, _INJECT_PROBE, item)
             probe_hops += 1
             cursor = candidate
-            node = p.nodes[candidate]
+            node = nodes[candidate]
             if not node.alive:
                 # the hop died after the walk started but before the
                 # ring was reconfigured: the probe gets no answer and
                 # the walk remaps to the next live ring node
                 continue
-            t = node.mem_ctrl.occupy(t, lat.pointer_lookup)
+            t = node.mem_ctrl.occupy(t, lookup_lat)
             if candidate in exclude:
                 continue
-            slot = node.am.injection_probe(item)
-            if slot is not InjectionSlot.NONE:
+            if node.am.injection_probe(item) is not _NO_SLOT:
                 acceptor = candidate
                 break
         if acceptor is None:
@@ -145,32 +153,30 @@ class InjectionEngine:
             )
 
         # victim node replies, then the data is sent from the source
-        t = p.fabric.control(
-            acceptor, src, Subnet.REPLY, t, MessageKind.INJECT_ACCEPT, item
+        service_lat = p._remote_service_lat
+        item_bytes = p._item_bytes
+        src_node = nodes[src]
+        t = transfer(acceptor, src, control_flits, _REPLY, t, _INJECT_ACCEPT, item)
+        t = src_node.mem_ctrl.occupy(t, service_lat)
+        t = transfer(
+            src, acceptor, p._data_flits, _REPLY, t, _INJECT_DATA, item, item_bytes
         )
-        t = p.nodes[src].mem_ctrl.occupy(t, lat.remote_am_service)
-        t = p.fabric.data(
-            src, acceptor, item_bytes, t, MessageKind.INJECT_DATA, item
-        )
-        data_sent = t
         self._install(acceptor, item, install_state, t)
         # the ack leaves 5 cycles after the item is received; copying the
         # item into memory happens after the ack is sent (Section 4.2.2)
-        t_ack = p.fabric.control(
-            acceptor, src, Subnet.REPLY, t + lat.inject_ack, MessageKind.INJECT_ACK, item
+        t_ack = transfer(
+            acceptor, src, control_flits, _REPLY, t + self._inject_ack_lat, _INJECT_ACK, item
         )
-        p.nodes[acceptor].mem_ctrl.occupy(t, lat.remote_am_service)
+        nodes[acceptor].mem_ctrl.occupy(t, service_lat)
 
         if drop_local:
-            p.nodes[src].am.set_state(item, ItemState.INVALID)
-        p.nodes[src].stats.record_injection(cause, item_bytes, probe_hops)
+            src_node.am.set_state(item, _INVALID)
+        stats = src_node.stats
+        stats.injections[cause] += 1
+        stats.bytes_injected += item_bytes
+        stats.injection_probe_hops += probe_hops
         p.after_injection(item, src, acceptor, install_state, t_ack)
-        return InjectionResult(
-            acceptor=acceptor,
-            complete=t_ack,
-            data_sent=data_sent,
-            probe_hops=probe_hops,
-        )
+        return InjectionResult(acceptor, t_ack, t, probe_hops)
 
     def install_at(self, node_id: int, item: int, state: ItemState, now: int) -> None:
         """Install a copy directly at ``node_id``, with the same room
@@ -185,30 +191,30 @@ class InjectionEngine:
     def _install(self, node_id: int, item: int, state: ItemState, now: int) -> None:
         """Make room (per the probe's promise) and install the copy."""
         p = self.protocol
-        node = p.nodes[node_id]
-        page = node.am.page_of(item)
-        if not node.am.has_page(page):
-            if node.am.free_ways(page) == 0:
-                victim = node.am.evictable_page(page)
+        am = p.nodes[node_id].am
+        page = am.page_of(item)
+        if not am.has_page(page):
+            if am.free_ways(page) == 0:
+                victim = am.evictable_page(page)
                 if victim is None:
                     raise InjectionFailed(
                         f"node {node_id} accepted item {item} but has no room"
                     )
                 p.drop_page(node_id, victim, now)
-            node.am.allocate_page(page)
+            am.allocate_page(page)
             p.registry.on_page_allocated(page, node_id)
         else:
-            old = node.am.state(item)
+            old = am.state(item)
             if old is state:
                 # duplicate INJECT_DATA delivery: the copy is already
                 # installed; re-acking without mutation keeps the
                 # effect exactly-once
                 return
-            if not old.is_replaceable:
+            if old not in _REPLACEABLE:
                 raise InjectionFailed(
                     f"node {node_id} holds item {item} in {old.name}; "
                     "probe should have refused"
                 )
-            if old is ItemState.SHARED:
+            if old is _SHARED:
                 p.on_shared_copy_dropped(node_id, item, now)
-        node.am.set_state(item, state)
+        am.set_state(item, state)

@@ -22,7 +22,7 @@ from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.injection import InjectionCause, InjectionEngine
 from repro.config import ArchConfig
 from repro.memory.attraction_memory import CapacityError
-from repro.memory.states import _READABLE, _SHARED_CK, ItemState
+from repro.memory.states import _READABLE, _REPLACEABLE, _SHARED_CK, ItemState
 from repro.network.fabric import MeshFabric
 from repro.network.message import MessageKind
 from repro.network.ring import LogicalRing
@@ -41,7 +41,9 @@ _SHARED = ItemState.SHARED
 _MASTER_SHARED = ItemState.MASTER_SHARED
 _EXCLUSIVE = ItemState.EXCLUSIVE
 _SHARED_CK1 = ItemState.SHARED_CK1
+_SHARED_CK2 = ItemState.SHARED_CK2
 _INV_CK1 = ItemState.INV_CK1
+_PRE_COMMIT2 = ItemState.PRE_COMMIT2
 _READ_REQ = MessageKind.READ_REQ
 _WRITE_REQ = MessageKind.WRITE_REQ
 _DATA_REPLY = MessageKind.DATA_REPLY
@@ -52,6 +54,8 @@ _INVALIDATE = MessageKind.INVALIDATE
 _INVALIDATE_ACK = MessageKind.INVALIDATE_ACK
 #: States of a serving copy: the owner states.
 _SERVING = frozenset({_EXCLUSIVE, _MASTER_SHARED})
+#: Owner-capable states: an injected copy in one carries the pointer.
+_OWNER_CAPABLE = frozenset({_EXCLUSIVE, _MASTER_SHARED, _SHARED_CK1})
 
 
 class ProtocolError(RuntimeError):
@@ -426,8 +430,8 @@ class StandardProtocol:
         """Update the localization pointer (fire-and-forget message)."""
         home = self.pointer_host(self.directory.home_of(item))
         if home != old_serving:
-            self.fabric.control(
-                old_serving, home, Subnet.REQUEST, now, MessageKind.POINTER_UPDATE, item
+            self.fabric.transfer(
+                old_serving, home, self._control_flits, _REQUEST, now, _POINTER_UPDATE, item
             )
         self.directory.set_serving_node(item, new_serving)
 
@@ -503,9 +507,9 @@ class StandardProtocol:
         for the Shared copies it held."""
         node = self.nodes[node_id]
         for item, state in node.am.deallocate_page(page):
-            if state is ItemState.SHARED:
+            if state is _SHARED:
                 self.on_shared_copy_dropped(node_id, item, now)
-            elif not state.is_replaceable:
+            elif state not in _REPLACEABLE:
                 raise ProtocolError(
                     f"drop_page lost a precious copy of item {item} ({state.name})"
                 )
@@ -530,19 +534,21 @@ class StandardProtocol:
     ) -> None:
         """Post-injection bookkeeping: keep pointers/entries pointing at
         owner-capable copies when they move."""
-        if state in (ItemState.EXCLUSIVE, ItemState.MASTER_SHARED, ItemState.SHARED_CK1):
-            if self.directory.serving_node(item) == src:
-                self.directory.move_entry(item, src, acceptor)
-                self._move_pointer(item, src, acceptor, now)
-        elif state in (ItemState.SHARED_CK2, ItemState.PRE_COMMIT2):
-            serving = self.directory.serving_node(item)
+        directory = self.directory
+        # a create-phase replica (Pre-Commit2) is the common case
+        if state is _PRE_COMMIT2 or state is _SHARED_CK2:
+            serving = directory.serving_node(item)
             if serving is not None:
-                entry = self.directory.peek_entry(serving, item)
+                entry = directory.peek_entry(serving, item)
                 if entry is not None and entry.partner == src:
                     entry.partner = acceptor
-                    self.fabric.control(
-                        src, serving, Subnet.REQUEST, now, MessageKind.POINTER_UPDATE, item
+                    self.fabric.transfer(
+                        src, serving, self._control_flits, _REQUEST, now, _POINTER_UPDATE, item
                     )
+        elif state in _OWNER_CAPABLE:
+            if directory.serving_node(item) == src:
+                directory.move_entry(item, src, acceptor)
+                self._move_pointer(item, src, acceptor, now)
 
     # ==================================================================
     # cache coupling

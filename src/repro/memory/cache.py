@@ -57,9 +57,6 @@ class SectoredCache:
     def sector_of(self, addr: int) -> int:
         return addr // self._sector_bytes
 
-    def line_of(self, addr: int) -> int:
-        return addr // self._line_bytes
-
     def _line_index(self, addr: int) -> int:
         return (addr % self._sector_bytes) // self._line_bytes
 
@@ -113,9 +110,6 @@ class SectoredCache:
             return True
         self.write_misses += 1
         return False
-
-    def has_clean_copy(self, addr: int) -> bool:
-        return self.line_state(addr) is LineState.CLEAN
 
     # -- fills and upgrades ---------------------------------------------------
 
@@ -218,12 +212,20 @@ class SectoredCache:
 
     def flush_all_dirty(self) -> list[int]:
         """Downgrade every DIRTY line to CLEAN; return their addresses."""
+        # every node runs this at every establishment: a sector with no
+        # DIRTY line, the common case, costs one C-level ``in`` scan
+        sector_bytes = self._sector_bytes
+        line_bytes = self._line_bytes
         flushed: list[int] = []
         for sector in self._index.values():
-            for idx, state in enumerate(sector.lines):
-                if state is LineState.DIRTY:
-                    sector.lines[idx] = LineState.CLEAN
-                    flushed.append(self.line_base_addr(sector.sector_id, idx))
+            lines = sector.lines
+            if _DIRTY not in lines:
+                continue
+            base = sector.sector_id * sector_bytes
+            for idx, state in enumerate(lines):
+                if state is _DIRTY:
+                    lines[idx] = _CLEAN
+                    flushed.append(base + idx * line_bytes)
         return flushed
 
     def invalidate_all(self) -> None:

@@ -34,7 +34,7 @@ class EcpStrategy(RecoveryStrategy):
     def node_create_phase(
         self, node_id: int, should_abort: Callable[[], bool] | None = None
     ) -> Generator[int, None, None]:
-        yield from node_create_phase(
+        return node_create_phase(
             self.machine.protocol,
             self.machine.engine,
             node_id,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator
 
-from repro.checkpoint.establish import scan_cost_cycles
+from repro.checkpoint.establish import flush_dirty_lines, scan_cost_cycles
 from repro.checkpoint.recovery import UnrecoverableFailure
 from repro.memory.attraction_memory import InjectionSlot
 from repro.memory.states import ItemState
@@ -52,20 +52,12 @@ class StagedRestoreStrategy(RecoveryStrategy):
         self, node_id: int, should_abort: Callable[[], bool] | None = None
     ) -> Generator[int, None, None]:
         protocol = self.machine.protocol
-        engine = self.machine.engine
         node = protocol.nodes[node_id]
-        lat = protocol.cfg.latency
         stats = node.stats
-
-        # Flush modified cache lines into the AM, exactly as the ECP
-        # create phase does: the staged image must reflect them.
-        flushed = node.cache.flush_all_dirty()
-        if flushed:
-            done = node.mem_ctrl.occupy(
-                engine.now, lat.cache_writeback_line * len(flushed)
-            )
-            yield done - engine.now
-
+        # the staged image must reflect the modified cache lines
+        yield from flush_dirty_lines(
+            node, self.machine.engine, protocol.cfg.latency.cache_writeback_line
+        )
         for item in sorted(node.am.owned_items()):
             if should_abort is not None and should_abort():
                 return

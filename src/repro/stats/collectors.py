@@ -10,10 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.coherence.injection import InjectionCause
 
 
 @dataclass
@@ -53,11 +49,6 @@ class NodeStats:
     # recovery
     recovery_scan_cycles: int = 0
     reconfig_items_recreated: int = 0
-
-    def record_injection(self, cause: "InjectionCause", bytes_moved: int, probe_hops: int) -> None:
-        self.injections[cause] += 1
-        self.bytes_injected += bytes_moved
-        self.injection_probe_hops += probe_hops
 
     # -- derived -------------------------------------------------------
 

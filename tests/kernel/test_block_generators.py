@@ -54,8 +54,8 @@ def _assert_block_matches(wl, gen, proc, base, count):
 @pytest.mark.parametrize(
     "wl", _families(), ids=lambda w: f"{w.name}-{w.n_procs}"
 )
-def test_vector_generators_bit_identical(wl):
-    """The C generators (named for the numpy kernels they replaced)."""
+def test_c_generators_bit_identical(wl):
+    """The C generators match the workloads' ``ref_at``."""
     gen = compiled.make_block_generator(wl)
     assert gen is not None, "every SPLASH/datacenter family has a generator"
     for proc in (0, wl.n_procs - 1):
@@ -65,7 +65,7 @@ def test_vector_generators_bit_identical(wl):
 
 
 @needs_compiled
-def test_vector_generator_unknown_family_is_none():
+def test_c_generator_unknown_family_is_none():
     from repro.workloads.synthetic import UniformShared
 
     wl = UniformShared(4, refs_per_proc=100)
